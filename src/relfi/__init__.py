@@ -28,6 +28,7 @@ from .core import (
 )
 from .engine import (
     DeltaRfi,
+    EvaluationContext,
     RfiEstimate,
     compute_delta_rfi,
     compute_rfi,
@@ -90,6 +91,7 @@ __all__ = [
     "make_partition",
     "save_csv",
     "DeltaRfi",
+    "EvaluationContext",
     "RfiEstimate",
     "compute_delta_rfi",
     "compute_rfi",

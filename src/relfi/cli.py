@@ -513,6 +513,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     csv_path = os.path.join(config.output, "results.csv")
     svg_path = os.path.join(config.output, "figure.svg")
     manifest_path = os.path.join(config.output, "manifest.yaml")
+    context = engine.EvaluationContext(
+        model, loss, data, config.replications, config.seed
+    )
 
     def evaluate(cell: tuple[str, tuple[str, ...]]):
         feature, cond = cell
@@ -524,6 +527,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
         estimate = engine.compute_rfi(
             model, loss, data, feature, cond, sampler,
             replications=config.replications, base_seed=config.seed,
+            context=context,
         )
         result = test(estimate.first_differences, alpha=config.alpha)
         return estimate, result

@@ -99,12 +99,15 @@ class Dataset:
         raise ValueError(f"split must be {TRAIN!r}, {TEST!r} or None, got {split!r}")
 
     def matrix(self, names: Iterable[str], split: str | None = None) -> np.ndarray:
-        """Copy of the requested columns, in the requested order."""
-        idx = [self.column_index(n) for n in names]
-        rows = self.values[self._row_selector(split)]
-        if not idx:
-            return np.empty((rows.shape[0], 0), dtype=float)
-        return np.ascontiguousarray(rows[:, idx])
+        """Copy of the requested columns, in the requested order.
+
+        Only the requested cells of the selected rows are gathered; the
+        other columns are never copied.
+        """
+        idx = np.array([self.column_index(n) for n in names], dtype=np.intp)
+        rows = self._row_selector(split)
+        rows = np.arange(self.n) if isinstance(rows, slice) else np.flatnonzero(rows)
+        return np.ascontiguousarray(self.values[np.ix_(rows, idx)])
 
     def column(self, name: str, split: str | None = None) -> np.ndarray:
         return self.values[self._row_selector(split), self.column_index(name)]

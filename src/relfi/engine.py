@@ -8,9 +8,17 @@ replacement drawn from its conditional law given that set:
              - mean L(y_i, f(x_j^(i),      x_R^(i)))
 
 with R the other model features, both means over the test rows. The
-baseline term has no perturbation noise, so it is computed once; the
 perturbed term is averaged over seeded replications, each drawing a
 fresh replacement column.
+
+Replication r of every computation uses the standard-normal noise drawn
+from the seed pair (base seed, r), which couples the underlying noise
+across conditioning sets and makes importance-change comparisons a
+matched-noise contrast. Everything that does not depend on the cell is
+therefore per-run work: an ``EvaluationContext`` holds the test matrix,
+the response, the baseline losses and risk, and one block of noise rows
+(one per replication) that every cell shares. Callers scoring many
+cells build it once; ``compute_rfi`` builds its own when given none.
 
 Two boundary cases are exact. A feature inside its own conditioning set
 is replaced by itself (the conditional law is a point mass at the
@@ -18,17 +26,13 @@ observed value), so every replication reproduces the baseline losses
 bit for bit and the estimate is exactly 0.0. Likewise a model whose
 prediction ignores the feature yields identical predictions under any
 replacement, so the estimate is exactly 0.0 rather than merely small.
-
-Replication r of every computation shares the seed pair (base seed, r),
-which couples the underlying noise across conditioning sets and makes
-importance-change comparisons a matched-noise contrast.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Sequence
 
@@ -88,9 +92,17 @@ class RfiEstimate:
         return tuple((r, self.baseline_risk) for r in self.perturbed_risks)
 
     @property
+    def _mean_risk(self) -> np.float64:
+        # The mean of equal floats need not equal them; when every
+        # replication reproduced the baseline, the mean is the baseline.
+        if all(r == self.baseline_risk for r in self.perturbed_risks):
+            return np.float64(self.baseline_risk)
+        return np.mean(self.perturbed_risks)
+
+    @property
     def point(self) -> float:
         """Mean risk difference across replications."""
-        return float(np.mean(self.perturbed_risks) - self.baseline_risk)
+        return float(self._mean_risk - self.baseline_risk)
 
     @property
     def se(self) -> float:
@@ -104,7 +116,7 @@ class RfiEstimate:
     @property
     def ratio(self) -> float:
         """Risk-ratio form of the estimate, perturbed over baseline."""
-        return float(np.mean(self.perturbed_risks) / self.baseline_risk)
+        return float(self._mean_risk / self.baseline_risk)
 
     @property
     def ratio_se(self) -> float:
@@ -177,6 +189,50 @@ def _validate_cell(
         data.column_index(name)  # raises SchemaError when absent
 
 
+@dataclass(frozen=True, eq=False)
+class EvaluationContext:
+    """Per-run state shared by every cell scored on one model and test set.
+
+    Built from the model, loss, data, replication count and base seed, it
+    holds the test matrix ``X``, the response ``y``, the baseline losses
+    and risk, and ``noise``: row r is the standard-normal vector drawn
+    from the seed pair (base seed, r), one entry per test row. All arrays
+    are locked read-only, so one context can serve concurrent cells.
+    """
+
+    model: PredictiveModel
+    loss: LossFunction
+    data: Dataset
+    replications: int = 30
+    base_seed: int = 0
+    X: np.ndarray = field(init=False)
+    y: np.ndarray = field(init=False)
+    base_losses: np.ndarray = field(init=False)
+    baseline_risk: float = field(init=False)
+    noise: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        replications, base_seed = int(self.replications), int(self.base_seed)
+        if replications < 1:
+            raise ValueError("replications must be >= 1")
+        X = self.data.matrix(self.model.feature_order, TEST)
+        if X.shape[0] < 1:
+            raise SchemaError("no test rows to evaluate on")
+        y = self.data.target_values(TEST)
+        base_losses = self.loss.pointwise(y, self.model.predict(X))
+        noise = np.empty((replications, X.shape[0]))
+        for r, row in enumerate(noise):
+            np.random.default_rng([base_seed, r]).standard_normal(out=row)
+        for arr in (X, y, base_losses, noise):
+            arr.setflags(write=False)
+        derived = dict(
+            replications=replications, base_seed=base_seed, X=X, y=y,
+            base_losses=base_losses, baseline_risk=float(base_losses.mean()), noise=noise,
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+
 def compute_rfi(
     model: PredictiveModel,
     loss: LossFunction,
@@ -186,52 +242,56 @@ def compute_rfi(
     sampler: ConditionalSampler | None = None,
     replications: int = 30,
     base_seed: int = 0,
+    *,
+    context: EvaluationContext | None = None,
 ) -> RfiEstimate:
     """Estimate the importance of ``feature`` relative to ``conditioning``.
 
     ``sampler`` must be fitted for exactly this (feature, conditioning)
     pair; it is ignored (and may be None) when the feature belongs to its
     own conditioning set, where the replacement is the identity.
+    ``context`` is the per-run state built from the same model, loss,
+    data, replications and seed; it is built here when not given.
     """
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
     conditioning = _canonical_names(conditioning)
     _validate_cell(model, data, feature, conditioning)
-    identity = feature in conditioning
-    X = data.matrix(model.feature_order, TEST)
-    if X.shape[0] < 1:
-        raise SchemaError("no test rows to evaluate on")
-    y = data.target_values(TEST)
-    base_losses = loss.pointwise(y, model.predict(X))
-    baseline = float(base_losses.mean())
+    if context is None:
+        context = EvaluationContext(model, loss, data, replications, base_seed)
+    elif not (
+        context.model is model
+        and context.loss is loss
+        and context.data is data
+        and context.replications == replications
+        and context.base_seed == base_seed
+    ):
+        raise ValueError("context was built for another model, loss, data or seed")
+    baseline = context.baseline_risk
+    if feature in conditioning:
+        # the replacement is the observed column, so every replication
+        # reproduces the baseline losses bit for bit
+        return RfiEstimate(
+            feature, conditioning, baseline, (baseline,) * context.replications,
+            np.zeros(context.X.shape[0]), context.base_seed,
+        )
+    if sampler is None:
+        raise SchemaError("a fitted sampler is required when feature not in G")
+    if sampler.target != feature or set(sampler.conditioning) != set(conditioning):
+        raise SchemaError(
+            f"sampler fitted for {sampler.target!r} given "
+            f"{sampler.conditioning} does not match ({feature!r}, {conditioning})"
+        )
+    required = data.matrix(sampler.required_columns, TEST)
     j = tuple(model.feature_order).index(feature)
-    if identity:
-        required = X[:, [j]]
-    else:
-        if sampler is None:
-            raise SchemaError("a fitted sampler is required when feature not in G")
-        if sampler.target != feature or set(sampler.conditioning) != set(conditioning):
-            raise SchemaError(
-                f"sampler fitted for {sampler.target!r} given "
-                f"{sampler.conditioning} does not match ({feature!r}, {conditioning})"
-            )
-        required = data.matrix(sampler.required_columns, TEST)
+    Xp = context.X.copy()
     perturbed: list[float] = []
-    first_diff: np.ndarray | None = None
-    for r in range(int(replications)):
-        if identity:
-            replacement = required[:, 0]
-        else:
-            replacement = sampler.sample(required, [int(base_seed), r])
-        Xp = X.copy()
-        Xp[:, j] = replacement
-        losses = loss.pointwise(y, model.predict(Xp))
+    for r, z in enumerate(context.noise):
+        Xp[:, j] = sampler.sample(required, z)
+        losses = loss.pointwise(context.y, model.predict(Xp))
         perturbed.append(float(losses.mean()))
         if r == 0:
-            first_diff = losses - base_losses
-    assert first_diff is not None
+            first_diff = losses - context.base_losses
     return RfiEstimate(
-        feature, conditioning, baseline, tuple(perturbed), first_diff, int(base_seed)
+        feature, conditioning, baseline, tuple(perturbed), first_diff, context.base_seed
     )
 
 
@@ -267,12 +327,14 @@ def compute_delta_rfi(
             f"the response {data.target_name!r} may not appear in the extension set"
         )
     union = _canonical_names(conditioning + extension)
+    context = EvaluationContext(model, loss, data, replications, base_seed)
     estimates = []
     for cond in (conditioning, union):
         sampler = None if feature in cond else sampler_factory(feature, cond)
         estimates.append(
             compute_rfi(
-                model, loss, data, feature, cond, sampler, replications, base_seed
+                model, loss, data, feature, cond, sampler, replications, base_seed,
+                context=context,
             )
         )
     return DeltaRfi(feature, conditioning, extension, estimates[0], estimates[1])
@@ -293,13 +355,15 @@ def rfi_profile(
     Cells are evaluated in row-major order (features outer). The output
     order, and every estimate in it, is deterministic given the inputs.
     """
+    context = EvaluationContext(model, loss, data, replications, base_seed)
     results = []
     for feature, cond in product(features, conditioning_sets):
         cond = _canonical_names(cond)
         sampler = None if feature in cond else sampler_factory(feature, cond)
         results.append(
             compute_rfi(
-                model, loss, data, feature, cond, sampler, replications, base_seed
+                model, loss, data, feature, cond, sampler, replications, base_seed,
+                context=context,
             )
         )
     return tuple(results)

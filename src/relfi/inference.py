@@ -19,6 +19,12 @@ SIGN_FLIP = "sign-flip-exact"
 
 DEFAULT_ALPHA = 0.01
 
+# Monte-Carlo sign draws per block of the sign-flip test, so its memory is
+# bounded whatever the number of permutations. Each sign consumes one
+# draw of the generator's stream, so the blocks concatenate to the same
+# signs as one draw of the whole matrix.
+_SIGN_BLOCK = 2**20
+
 
 class InsufficientDataError(ValueError):
     """Too few observations for the requested test."""
@@ -87,7 +93,8 @@ def sign_flip_exact(
     the null of a symmetric zero-centered law; the p-value is the share
     of assignments whose mean reaches the observed one. Enumeration is
     exhaustive while 2^n fits in ``max_permutations``, Monte-Carlo with
-    add-one smoothing beyond that.
+    add-one smoothing beyond that; the random signs are drawn in blocks
+    of about ``_SIGN_BLOCK`` entries.
 
     The differences are sorted (descending) before enumeration so the
     result depends only on their multiset, keeping the exhaustive test
@@ -109,10 +116,13 @@ def sign_flip_exact(
         p = float(np.count_nonzero(sums >= observed)) / 2**n
         return TestResult(statistic, p, n, SIGN_FLIP, alpha)
     rng = np.random.default_rng(seed)
-    signs = rng.choice((-1.0, 1.0), size=(max_permutations, n))
-    sums = signs @ d
     observed = np.ones(n) @ d
-    hits = int(np.count_nonzero(sums >= observed))
+    block = max(1, _SIGN_BLOCK // n)
+    hits = 0
+    for start in range(0, max_permutations, block):
+        rows = min(block, max_permutations - start)
+        signs = rng.choice((-1.0, 1.0), size=(rows, n))
+        hits += int(np.count_nonzero(signs @ d >= observed))
     p = (1.0 + hits) / (max_permutations + 1.0)
     return TestResult(statistic, p, n, SIGN_FLIP, alpha)
 

@@ -9,13 +9,20 @@ under the Gaussian fit) and equicorrelated Gaussian model-X knockoffs.
 Independence from the unconditioned variables and the response holds
 structurally: a sampler declares ``required_columns`` and is handed only
 those columns, so its output is a function of the conditioning values
-and a seeded noise stream alone. Samplers are fit on training rows and
-applied to test rows.
+and the noise alone. Samplers are fit on training rows and applied to
+test rows.
+
+The sampling contract is ``sample(rows, z)``: ``z`` is a standard-normal
+vector with one entry per row, drawn by the caller, and the sampler is a
+deterministic affine map of ``rows`` and ``z`` with every weight fixed at
+fit time. Equal ``z`` therefore give equal underlying noise across
+conditioning sets, which is what lets the importance engine draw one
+noise block per run and share it between cells.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -156,7 +163,8 @@ class ConditionalSampler(Protocol):
     """Draws replacement columns for one feature given its conditioning set.
 
     ``required_columns`` names exactly the inputs ``sample`` consumes; the
-    caller passes a matrix with those columns in that order. Independence
+    caller passes a matrix with those columns in that order, plus a
+    standard-normal vector ``z`` with one entry per row. Independence
     of the replacement from everything outside the conditioning set is
     enforced by this interface shape, not by convention inside
     implementations.
@@ -171,7 +179,7 @@ class ConditionalSampler(Protocol):
     @property
     def required_columns(self) -> tuple[str, ...]: ...
 
-    def sample(self, rows: np.ndarray, seed) -> np.ndarray: ...
+    def sample(self, rows: np.ndarray, z: np.ndarray) -> np.ndarray: ...
 
 
 def _check_rows(rows: np.ndarray, expected: int) -> np.ndarray:
@@ -197,11 +205,8 @@ class GaussianConditionalSampler:
     def required_columns(self) -> tuple[str, ...]:
         return self.conditioning
 
-    def sample(self, rows: np.ndarray, seed) -> np.ndarray:
+    def sample(self, rows: np.ndarray, z: np.ndarray) -> np.ndarray:
         rows = _check_rows(rows, len(self.conditioning))
-        # The standard-normal vector is drawn before any transformation so
-        # equal seeds give equal noise across different conditioning sets.
-        z = np.random.default_rng(seed).standard_normal(rows.shape[0])
         return self.intercept + rows @ self.slope + self.scale * z
 
 
@@ -217,7 +222,7 @@ class PointMassSampler:
     def required_columns(self) -> tuple[str, ...]:
         return ()
 
-    def sample(self, rows: np.ndarray, seed) -> np.ndarray:
+    def sample(self, rows: np.ndarray, z: np.ndarray) -> np.ndarray:
         rows = _check_rows(rows, 0)
         return np.full(rows.shape[0], self.constant)
 
@@ -270,28 +275,36 @@ def equicorrelated_knockoff_s(joint: GaussianJoint) -> KnockoffSpec:
     raise KnockoffError("knockoff joint is not PSD even after shrinking s")
 
 
-def sample_knockoff_column(spec: KnockoffSpec, rows: np.ndarray, target: str, seed) -> np.ndarray:
-    """Draw the knockoff coordinate of ``target`` given observed rows.
+def _knockoff_column_params(spec: KnockoffSpec, target: str) -> tuple[np.ndarray, float]:
+    """Mean weights and scale of the knockoff coordinate of ``target``.
 
-    ``rows`` holds columns for all of ``spec.joint.names`` in order. The
-    knockoff vector given X = x is Gaussian with mean
-    mu + (S_ - S) S_^-1 (x - mu) and covariance 2S - S S_^-1 S; only the
-    target coordinate is materialized.
+    The knockoff vector given X = x is Gaussian with mean
+    mu + (S_ - S) S_^-1 (x - mu) and covariance 2S - S S_^-1 S. The
+    target coordinate is mu_t + (x - mu) @ weights + scale * z.
     """
     joint = spec.joint
-    rows = _check_rows(rows, len(joint.names))
     t = joint.index(target)
-    z = np.random.default_rng(seed).standard_normal(rows.shape[0])
     cov = joint.covariance
-    # weights for the conditional mean of the target knockoff coordinate:
     # ((S_ - S) S_^-1 (x - mu))_t = (x - mu) @ S_^-1 (S_ - S) e_t
     rhs = cov[:, t].copy()
     rhs[t] -= spec.s[t]
     weights = np.linalg.solve(cov, rhs)
-    mean = joint.mean[t] + (rows - joint.mean) @ weights
     prec_tt = float(np.linalg.solve(cov, np.eye(len(joint.names))[:, t])[t])
     variance = max(2.0 * spec.s[t] - spec.s[t] ** 2 * prec_tt, 0.0)
-    return mean + np.sqrt(variance) * z
+    return weights, np.sqrt(variance)
+
+
+def sample_knockoff_column(
+    spec: KnockoffSpec, rows: np.ndarray, target: str, z: np.ndarray
+) -> np.ndarray:
+    """The knockoff coordinate of ``target`` given observed rows and noise ``z``.
+
+    ``rows`` holds columns for all of ``spec.joint.names`` in order.
+    """
+    rows = _check_rows(rows, len(spec.joint.names))
+    weights, scale = _knockoff_column_params(spec, target)
+    mu = spec.joint.mean
+    return mu[spec.joint.index(target)] + (rows - mu) @ weights + scale * z
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,10 +314,18 @@ class KnockoffSampler:
     Needs the observed target column itself (knockoffs condition on the
     full fitted variable set), so ``required_columns`` is the target
     followed by the conditioning set. That is still free of the
-    unconditioned variables and the response.
+    unconditioned variables and the response. The mean weights and the
+    scale are solved once, when the sampler is built.
     """
 
     spec: KnockoffSpec
+    weights: np.ndarray = field(init=False)
+    scale: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        weights, scale = _knockoff_column_params(self.spec, self.target)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "scale", scale)
 
     @property
     def target(self) -> str:
@@ -318,8 +339,10 @@ class KnockoffSampler:
     def required_columns(self) -> tuple[str, ...]:
         return self.spec.joint.names
 
-    def sample(self, rows: np.ndarray, seed) -> np.ndarray:
-        return sample_knockoff_column(self.spec, rows, self.target, seed)
+    def sample(self, rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+        rows = _check_rows(rows, len(self.spec.joint.names))
+        mu = self.spec.joint.mean
+        return mu[0] + (rows - mu) @ self.weights + self.scale * z
 
 
 SAMPLER_KINDS = ("gaussian", "knockoff")
@@ -373,10 +396,11 @@ def sampler_factory(data: Dataset, kind: str = "gaussian", ridge: float | None =
 
 
 def sample_replacement(sampler: ConditionalSampler, data: Dataset, seed, split: str = TEST) -> np.ndarray:
-    """One replacement column for the given rows.
+    """One replacement column for the given rows, with noise drawn from ``seed``.
 
     Extracts exactly the sampler's required columns, so no implementation
     ever sees the response or the unconditioned features.
     """
     rows = data.matrix(sampler.required_columns, split)
-    return sampler.sample(rows, seed)
+    z = np.random.default_rng(seed).standard_normal(rows.shape[0])
+    return sampler.sample(rows, z)

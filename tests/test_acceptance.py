@@ -259,7 +259,7 @@ def test_criterion_7_sampler_correctness():
     sampler = GaussianConditionalSampler("X3", ("C",), slope, intercept, math.sqrt(var))
     data = sample_scm(graph, 100000, seed=77)
     rows = data.matrix(("C",), None)
-    out = sampler.sample(rows, seed=55)
+    out = sampler.sample(rows, np.random.default_rng(55).standard_normal(rows.shape[0]))
     n = out.shape[0]
     resid = out - intercept - rows @ slope
     c = rows[:, 0]

@@ -45,6 +45,16 @@ class TestDataset:
         assert np.array_equal(m[:, 0], data.column("b"))
         assert np.array_equal(m[:, 1], data.column("a"))
 
+    def test_matrix_gathers_selected_rows_and_columns(self):
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(50, 4))
+        mask = rng.random(50) < 0.3
+        data = Dataset(("a", "b", "c", "y"), values, "y", mask)
+        for split, rows in ((None, values), (TRAIN, values[~mask]), (TEST, values[mask])):
+            m = data.matrix(("c", "a", "c"), split)
+            assert m.flags.c_contiguous and m.flags.writeable
+            assert m.tobytes() == np.ascontiguousarray(rows[:, [2, 0, 2]]).tobytes()
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(SchemaError):
             Dataset(("a", "a"), np.zeros((3, 2)), "a", np.zeros(3, dtype=bool))

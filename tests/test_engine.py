@@ -8,6 +8,7 @@ from relfi.engine import (
     CSV_HEADER,
     DIFFERENCE,
     RATIO,
+    EvaluationContext,
     RfiEstimate,
     compute_delta_rfi,
     compute_rfi,
@@ -71,6 +72,50 @@ class TestComputeRfi:
         assert paired_t_one_sided(est.first_differences).p_value == 1.0
         assert est.conditioning == ("X1", "X3")
 
+    def test_exact_at_thirty_replications(self, data, model):
+        # np.mean of 30 copies of these baselines is not the baseline, so
+        # exactness needs the reproduced-baseline case handled explicitly
+        ignoring = LinearModel(("X1", "X2", "X3", "X4"), np.array([0.0, 2.0, 1.0, -0.5]), 0.3)
+        s = fit_sampler(data, "X1", ("X2",))
+        cells = [
+            compute_rfi(model, LOSS, data, "X3", ("X3",), replications=30),
+            compute_rfi(ignoring, LOSS, data, "X1", ("X2",), s, replications=30),
+        ]
+        for est in cells:
+            assert np.mean([est.baseline_risk] * 30) != est.baseline_risk
+            assert est.point == 0.0
+            assert est.se == 0.0
+            assert est.ratio == 1.0
+
+    def test_shared_context_matches_own_context(self, data, model):
+        ctx = EvaluationContext(model, LOSS, data, 3, 4)
+        for feature, cond in (("X4", ("X2",)), ("X3", ()), ("X3", ("X3",))):
+            s = None if feature in cond else fit_sampler(data, feature, cond)
+            shared = compute_rfi(model, LOSS, data, feature, cond, s, 3, 4, context=ctx)
+            own = compute_rfi(model, LOSS, data, feature, cond, s, 3, 4)
+            assert shared.perturbed_risks == own.perturbed_risks
+            assert shared.first_differences.tobytes() == own.first_differences.tobytes()
+
+    def test_context_must_match_the_call(self, data, model):
+        ctx = EvaluationContext(model, LOSS, data, 3, 4)
+        s = fit_sampler(data, "X4", ())
+        for replications, seed in ((2, 4), (3, 5)):
+            with pytest.raises(ValueError, match="context"):
+                compute_rfi(model, LOSS, data, "X4", (), s, replications, seed, context=ctx)
+        with pytest.raises(ValueError, match="context"):
+            compute_rfi(model, SquaredError(), data, "X4", (), s, 3, 4, context=ctx)
+
+    def test_context_holds_locked_per_run_state(self, data, model):
+        ctx = EvaluationContext(model, LOSS, data, 3, 7)
+        X = data.matrix(model.feature_order, TEST)
+        assert np.array_equal(ctx.X, X)
+        assert ctx.baseline_risk == float(LOSS.pointwise(ctx.y, model.predict(X)).mean())
+        for r in range(3):
+            z = np.random.default_rng([7, r]).standard_normal(X.shape[0])
+            assert ctx.noise[r].tobytes() == z.tobytes()
+        for arr in (ctx.X, ctx.y, ctx.base_losses, ctx.noise):
+            assert not arr.flags.writeable
+
     def test_conditioning_on_all_other_features(self, data, model):
         cond = ("X1", "X2", "X4")
         s = fit_sampler(data, "X3", cond)
@@ -127,6 +172,19 @@ class TestComputeRfi:
 class TestEstimateRecord:
     def _make(self, perturbed, baseline=1.0):
         return RfiEstimate("f", (), baseline, perturbed, np.zeros(3), 0)
+
+    def test_reproduced_baseline_reads_exactly_zero(self):
+        assert np.mean([0.1] * 30) != 0.1
+        est = self._make((0.1,) * 30, baseline=0.1)
+        assert est.point == 0.0
+        assert est.se == 0.0
+        assert est.ratio == 1.0
+        assert est.ratio_se == 0.0
+        # one differing replication falls back to the plain mean
+        risks = (0.1,) * 29 + (0.3,)
+        other = self._make(risks, baseline=0.1)
+        assert other.point == float(np.mean(risks) - 0.1)
+        assert other.ratio == float(np.mean(risks) / 0.1)
 
     def test_point_and_se(self):
         est = self._make((1.5, 2.5), baseline=1.0)

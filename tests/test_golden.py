@@ -1,0 +1,45 @@
+"""Byte-level golden check of the bundled experiments.
+
+The hashes pin ``results.csv`` and ``figure.svg`` of the bundled
+``experiment_a`` and ``experiment_b`` configs. Float rendering uses repr,
+so the bytes depend on the exact floating-point results, which can move
+with the Python, numpy or scipy build or the BLAS kernel in use. The
+hashes hold within the environment they were recorded in (Python 3.11.7,
+numpy 2.4.6, scipy 1.17.1); elsewhere a mismatch means the environment
+changed, not necessarily the code.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from relfi.cli import load_config, run_experiment
+
+GOLDEN = {
+    "experiment_a": {
+        "results.csv": "90b7f96ad63331e78e0a6f997378b4fd4e6075d0cca6d8cbe7d6562a6dc5eee2",
+        "figure.svg": "6d10ff6603ee0d068265d7003b7a9bcbf973acc637e8c77d7d2e89d1aba8500f",
+    },
+    "experiment_b": {
+        "results.csv": "0c7b7f8bec9a23dc4d4bd8daacd02fb66be1b0224d32ebf85f97581c6a7085e4",
+        "figure.svg": "1b51ee11f0941e59a50d725f10ade6185a24a4dfe5805fb6d5effe867ca42ca1",
+    },
+}
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fp:
+        return hashlib.sha256(fp.read()).hexdigest()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_bundled_outputs_match_pinned_hashes(tmp_path, name, workers):
+    config = dataclasses.replace(load_config(name), output=str(tmp_path / "out"))
+    result = run_experiment(config, workers=workers)
+    got = {
+        "results.csv": _sha256(result.csv_path),
+        "figure.svg": _sha256(result.svg_path),
+    }
+    assert got == GOLDEN[name]

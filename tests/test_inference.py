@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from relfi import inference
 from relfi.inference import (
     PAIRED_T,
     SIGN_FLIP,
@@ -128,6 +129,22 @@ class TestSignFlip:
         exact = sign_flip_exact(d).p_value
         mc = sign_flip_exact(d, max_permutations=1023, seed=3).p_value
         assert abs(mc - exact) < 0.05
+
+    @pytest.mark.parametrize("block", [None, 1000, 1])
+    def test_monte_carlo_blocks_match_one_shot_draw(self, monkeypatch, block):
+        # blocked sign draws must reproduce the p-value of drawing the whole
+        # sign matrix at once, ties and zeros included
+        if block is not None:
+            monkeypatch.setattr(inference, "_SIGN_BLOCK", block)
+        rng = np.random.default_rng(11)
+        for n, perms in ((15, 2**14), (40, 2**14), (257, 3001), (1000, 1001)):
+            d = np.round(rng.normal(loc=0.02, scale=0.1, size=n), 2)
+            d[: n // 4] = 0.0
+            signs = np.random.default_rng(n).choice((-1.0, 1.0), size=(perms, n))
+            s = np.sort(d)[::-1]
+            hits = np.count_nonzero(signs @ s >= np.ones(n) @ s)
+            expected = (1.0 + hits) / (perms + 1.0)
+            assert sign_flip_exact(d, max_permutations=perms, seed=n).p_value == expected
 
     def test_needs_one_observation(self):
         with pytest.raises(InsufficientDataError):

@@ -163,12 +163,22 @@ class TestGaussianSampler:
         r = np.corrcoef(resid, y)[0, 1]
         assert abs(r) < 3.0 / np.sqrt(out.shape[0])
 
+    def test_sample_is_affine_in_rows_and_noise(self, data_a):
+        s = fit_sampler(data_a, "X4", ("X1", "X2"))
+        rows = data_a.matrix(s.required_columns, TEST)
+        z = np.random.default_rng(2).standard_normal(rows.shape[0])
+        out = s.sample(rows, z)
+        assert np.array_equal(out, s.sample(rows, z))
+        assert np.allclose(out, s.intercept + rows @ s.slope + s.scale * z, rtol=0, atol=1e-12)
+        assert np.array_equal(sample_replacement(s, data_a, seed=4),
+                              s.sample(rows, np.random.default_rng(4).standard_normal(rows.shape[0])))
+
     def test_required_columns_contract(self, data_a):
         s = fit_sampler(data_a, "X4", ("X2", "X1"))
         assert s.required_columns == ("X1", "X2")
         assert s.conditioning == ("X1", "X2")
         with pytest.raises(SamplerStateError):
-            s.sample(np.zeros((3, 1)), 0)
+            s.sample(np.zeros((3, 1)), np.random.default_rng(0).standard_normal(3))
 
     def test_conditioning_set_canonicalized(self, data_a):
         s1 = fit_sampler(data_a, "X4", ("X2", "X1"))
@@ -194,9 +204,12 @@ class TestPointMass:
     def test_direct_interface(self):
         s = PointMassSampler("a", (), 2.5)
         assert s.required_columns == ()
-        assert np.array_equal(s.sample(np.empty((3, 0)), 1), np.full(3, 2.5))
+        assert np.array_equal(
+            s.sample(np.empty((3, 0)), np.random.default_rng(1).standard_normal(3)),
+            np.full(3, 2.5),
+        )
         with pytest.raises(SamplerStateError):
-            s.sample(np.zeros((3, 1)), 0)
+            s.sample(np.zeros((3, 1)), np.random.default_rng(0).standard_normal(3))
 
 
 class TestKnockoffConstruction:
@@ -251,9 +264,17 @@ class TestKnockoffSampler:
         joint = GaussianJoint(("a",), np.zeros(1), np.array([[4.0]]), 0.0)
         spec = equicorrelated_knockoff_s(joint)
         rows = np.array([[10.0], [-10.0], [0.0]])
-        out = sample_knockoff_column(spec, rows, "a", seed=7)
+        out = sample_knockoff_column(spec, rows, "a", np.random.default_rng(7).standard_normal(3))
         expected = 2.0 * np.random.default_rng(7).standard_normal(3)
         assert np.allclose(out, expected, atol=1e-12)
+
+    def test_fitted_sampler_matches_column_draw(self, data_a):
+        # weights solved at fit time give the same bits as solving per draw
+        s = fit_sampler(data_a, "X4", ("X2",), kind="knockoff")
+        rows = data_a.matrix(s.required_columns, TEST)
+        z = np.random.default_rng(3).standard_normal(rows.shape[0])
+        expected = sample_knockoff_column(s.spec, rows, "X4", z)
+        assert s.sample(rows, z).tobytes() == expected.tobytes()
 
     def test_deterministic(self, data_a):
         s = fit_sampler(data_a, "X4", ("X2",), kind="knockoff")
