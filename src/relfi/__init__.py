@@ -13,17 +13,16 @@ from .core import (
     TEST,
     TRAIN,
     Dataset,
-    IndexPartition,
     InvalidPartitionError,
     LossFunction,
     PredictiveModel,
     SchemaError,
     SquaredError,
+    check_partition,
     empirical_risk,
     get_loss,
     holdout_mask_from_seed,
     load_csv,
-    make_partition,
     save_csv,
 )
 from .engine import (
@@ -44,18 +43,16 @@ from .inference import (
 )
 from .models import FitError, LinearModel, fit_from_dataset, fit_ols, load_model, save_model
 from .samplers import (
-    ConditionalSampler,
     CovarianceError,
     GaussianConditionalSampler,
     GaussianJoint,
     KnockoffError,
     KnockoffSampler,
-    KnockoffSpec,
     conditional_gaussian_params,
     equicorrelated_knockoff_s,
     fit_gaussian,
     fit_sampler,
-    sample_knockoff_column,
+    knockoff_sampler,
     sample_replacement,
     sampler_factory,
 )
@@ -78,17 +75,16 @@ __all__ = [
     "TEST",
     "TRAIN",
     "Dataset",
-    "IndexPartition",
     "InvalidPartitionError",
     "LossFunction",
     "PredictiveModel",
     "SchemaError",
     "SquaredError",
+    "check_partition",
     "empirical_risk",
     "get_loss",
     "holdout_mask_from_seed",
     "load_csv",
-    "make_partition",
     "save_csv",
     "DeltaRfi",
     "EvaluationContext",
@@ -108,18 +104,16 @@ __all__ = [
     "fit_ols",
     "load_model",
     "save_model",
-    "ConditionalSampler",
     "CovarianceError",
     "GaussianConditionalSampler",
     "GaussianJoint",
     "KnockoffError",
     "KnockoffSampler",
-    "KnockoffSpec",
     "conditional_gaussian_params",
     "equicorrelated_knockoff_s",
     "fit_gaussian",
     "fit_sampler",
-    "sample_knockoff_column",
+    "knockoff_sampler",
     "sample_replacement",
     "sampler_factory",
     "Edge",

@@ -38,6 +38,7 @@ from .core import (
     Dataset,
     InvalidPartitionError,
     SchemaError,
+    check_partition,
     empirical_risk,
     get_loss,
     load_csv,
@@ -137,6 +138,11 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    """Whether a parsed YAML value is a number of ``kind``; booleans are not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _name_list(raw, where: str, problems: list[str]) -> tuple[str, ...]:
     if raw is None:
         return ()
@@ -198,7 +204,7 @@ def config_from_mapping(mapping) -> tuple[ExperimentConfig | None, list[str]]:
             problems.append("data: give exactly one of 'graph' or 'csv'")
         elif has_graph:
             data_graph = str(data["graph"])
-            if not isinstance(data.get("n"), int) or data["n"] < 1:
+            if not _is_number(data.get("n"), int) or data["n"] < 1:
                 problems.append("data.n: required positive integer with 'graph'")
             else:
                 data_n = data["n"]
@@ -224,11 +230,11 @@ def config_from_mapping(mapping) -> tuple[ExperimentConfig | None, list[str]]:
         problems.append("features: the target cannot be a feature")
 
     test_fraction = mapping.get("test_fraction", 0.10)
-    if not isinstance(test_fraction, (int, float)) or not 0.0 < float(test_fraction) < 1.0:
+    if not _is_number(test_fraction) or not 0.0 < float(test_fraction) < 1.0:
         problems.append("test_fraction: must be a number strictly between 0 and 1")
         test_fraction = 0.10
     seed = mapping.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_number(seed, int):
         problems.append("seed: must be an integer")
         seed = 0
     model = mapping.get("model", "ols")
@@ -256,13 +262,13 @@ def config_from_mapping(mapping) -> tuple[ExperimentConfig | None, list[str]]:
             )
         raw_ridge = sampler.get("ridge")
         if raw_ridge is not None:
-            if not isinstance(raw_ridge, (int, float)) or float(raw_ridge) < 0:
+            if not _is_number(raw_ridge) or float(raw_ridge) < 0:
                 problems.append("sampler.ridge: must be null or a number >= 0")
             else:
                 ridge = float(raw_ridge)
 
     replications = mapping.get("replications", 30)
-    if not isinstance(replications, int) or replications < 1:
+    if not _is_number(replications, int) or replications < 1:
         problems.append("replications: must be an integer >= 1")
         replications = 30
     form = str(mapping.get("form", engine.DIFFERENCE))
@@ -281,7 +287,7 @@ def config_from_mapping(mapping) -> tuple[ExperimentConfig | None, list[str]]:
         if test_kind not in TEST_KINDS:
             problems.append(f"test.kind: must be one of {', '.join(TEST_KINDS)}")
         raw_alpha = test.get("alpha", DEFAULT_ALPHA)
-        if not isinstance(raw_alpha, (int, float)) or not 0.0 < float(raw_alpha) < 1.0:
+        if not _is_number(raw_alpha) or not 0.0 < float(raw_alpha) < 1.0:
             problems.append("test.alpha: must lie strictly between 0 and 1")
         else:
             alpha = float(raw_alpha)
@@ -291,15 +297,10 @@ def config_from_mapping(mapping) -> tuple[ExperimentConfig | None, list[str]]:
         where = f"jobs[{k}] (feature={job.feature})"
         if job.feature not in features:
             problems.append(f"{where}: feature is not in the feature list")
-        if target in job.conditioning:
-            problems.append(f"{where}: the target may not appear in the conditioning set")
-        if job.extension is not None:
-            if target in job.extension:
-                problems.append(f"{where}: the target may not appear in the extension set")
-            if set(job.extension) & set(job.conditioning):
-                problems.append(f"{where}: extension overlaps the conditioning set")
-            if job.feature in job.extension:
-                problems.append(f"{where}: the feature may not appear in the extension set")
+        try:
+            check_partition(target, job.feature, job.conditioning, job.extension or ())
+        except InvalidPartitionError as exc:
+            problems.append(f"{where}: {exc}")
 
     output = mapping.get("output")
     if not isinstance(output, str) or not output:
@@ -516,6 +517,14 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     context = engine.EvaluationContext(
         model, loss, data, config.replications, config.seed
     )
+    if config.form == engine.RATIO and context.baseline_risk <= (
+        np.finfo(float).eps * np.var(context.y)
+    ):
+        raise RunError(
+            f"the ratio form is undefined here: the baseline risk "
+            f"{context.baseline_risk!r} is negligible next to the variance of "
+            f"the test response (a perfect fit); use the difference form"
+        )
 
     def evaluate(cell: tuple[str, tuple[str, ...]]):
         feature, cond = cell
@@ -857,7 +866,6 @@ def main(argv=None) -> int:
         KnockoffError,
         GraphError,
         SchemaError,
-        InvalidPartitionError,
         np.linalg.LinAlgError,
         ValueError,
         OSError,

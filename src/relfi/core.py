@@ -1,4 +1,4 @@
-"""Named numeric datasets, index-set bookkeeping, and the model/loss contracts.
+"""Named numeric datasets, the partition rules, and the model/loss contracts.
 
 Everything downstream (samplers, the importance engine, the experiment
 runner) addresses columns by name rather than by position, so a
@@ -26,7 +26,7 @@ class SchemaError(ValueError):
     """A referenced column is missing, duplicated, or malformed."""
 
 
-class InvalidPartitionError(ValueError):
+class InvalidPartitionError(SchemaError):
     """Index sets violate the partition rules."""
 
 
@@ -198,102 +198,35 @@ def save_csv(data: Dataset, path) -> None:
             writer.writerow([repr(float(v)) for v in row] + [str(tag)])
 
 
-@dataclass(frozen=True)
-class IndexPartition:
-    """How one feature of interest partitions the variables around it.
+def check_partition(
+    target: str, feature: str, conditioning: Iterable[str], extension: Iterable[str] = ()
+) -> None:
+    """Raise InvalidPartitionError naming every partition rule the sets break.
 
-    ``remaining`` is the other model features; it splits into
-    ``conditioned`` (also in the conditioning set) and ``unconditioned``
-    (the features whose ties to the replacement get severed).
-    ``external`` holds conditioning variables that are not model features
-    at all. The optional ``extension`` mirrors the same bookkeeping for a
-    set added to the conditioning set.
+    The response ``target`` may be neither the feature of interest nor a
+    member of the conditioning set or of the extension; the extension may
+    share no variable with the conditioning set and may not hold the
+    feature. The feature may lie in its own conditioning set: that cell
+    is the identity replacement.
     """
-
-    feature: str
-    features: tuple[str, ...]
-    conditioning: tuple[str, ...]
-    remaining: tuple[str, ...]
-    conditioned: tuple[str, ...]
-    unconditioned: tuple[str, ...]
-    external: tuple[str, ...]
-    extension: tuple[str, ...] | None = None
-    extension_in_remaining: tuple[str, ...] | None = None
-    extension_external: tuple[str, ...] | None = None
-    unconditioned_without_extension: tuple[str, ...] | None = None
-
-
-def _as_name_set(values: Iterable[str], what: str) -> frozenset[str]:
-    names = frozenset(str(v) for v in values)
-    if any(not n for n in names):
-        raise InvalidPartitionError(f"{what} contains an empty name")
-    return names
-
-
-def make_partition(
-    features: Iterable[str],
-    feature: str,
-    conditioning: Iterable[str] = (),
-    target: str | None = None,
-    extension: Iterable[str] | None = None,
-) -> IndexPartition:
-    """Build the index partition for one feature of interest.
-
-    Deterministic in its set arguments: all derived sets come out sorted,
-    so equal inputs (in any order) give equal partitions.
-    """
-    feature_set = _as_name_set(features, "features")
-    cond_set = _as_name_set(conditioning, "conditioning")
-    if feature not in feature_set:
-        raise InvalidPartitionError(
-            f"feature {feature!r} is not among the model features"
+    conditioning, extension = set(conditioning), set(extension)
+    response = f"(the response {target!r})"
+    problems = []
+    if feature == target:
+        problems.append(f"target may not be the feature of interest {response}")
+    if target in conditioning:
+        problems.append(f"target may not appear in the conditioning set {response}")
+    if target in extension:
+        problems.append(f"target may not appear in the extension set {response}")
+    if extension & conditioning:
+        problems.append(
+            "extension overlaps the conditioning set: "
+            + ", ".join(sorted(extension & conditioning))
         )
-    if feature in cond_set:
-        raise InvalidPartitionError(
-            f"feature {feature!r} may not appear in its own conditioning set"
-        )
-    if target is not None:
-        if target in cond_set:
-            raise InvalidPartitionError(
-                f"target {target!r} may not appear in the conditioning set"
-            )
-        if target in feature_set:
-            raise InvalidPartitionError(
-                f"target {target!r} may not appear among the model features"
-            )
-    remaining = feature_set - {feature}
-    part = {
-        "feature": feature,
-        "features": tuple(sorted(feature_set)),
-        "conditioning": tuple(sorted(cond_set)),
-        "remaining": tuple(sorted(remaining)),
-        "conditioned": tuple(sorted(remaining & cond_set)),
-        "unconditioned": tuple(sorted(remaining - cond_set)),
-        "external": tuple(sorted(cond_set - remaining)),
-    }
-    if extension is not None:
-        ext_set = _as_name_set(extension, "extension")
-        if ext_set & cond_set:
-            raise InvalidPartitionError(
-                "extension overlaps the conditioning set: "
-                + ", ".join(sorted(ext_set & cond_set))
-            )
-        if feature in ext_set:
-            raise InvalidPartitionError(
-                f"feature {feature!r} may not appear in the extension set"
-            )
-        if target is not None and target in ext_set:
-            raise InvalidPartitionError(
-                f"target {target!r} may not appear in the extension set"
-            )
-        unconditioned = remaining - cond_set
-        part.update(
-            extension=tuple(sorted(ext_set)),
-            extension_in_remaining=tuple(sorted(remaining & ext_set)),
-            extension_external=tuple(sorted(ext_set - remaining)),
-            unconditioned_without_extension=tuple(sorted(unconditioned - ext_set)),
-        )
-    return IndexPartition(**part)
+    if feature in extension:
+        problems.append(f"feature may not appear in the extension set ({feature!r})")
+    if problems:
+        raise InvalidPartitionError("; ".join(problems))
 
 
 @runtime_checkable

@@ -38,16 +38,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    TEST,
-    Dataset,
-    InvalidPartitionError,
-    LossFunction,
-    PredictiveModel,
-    SchemaError,
-)
+from .core import TEST, Dataset, LossFunction, PredictiveModel, SchemaError, check_partition
 from .inference import TestResult
-from .samplers import ConditionalSampler
+from .samplers import _AffineSampler
 
 DIFFERENCE = "difference"
 RATIO = "ratio"
@@ -55,7 +48,7 @@ FORMS = (DIFFERENCE, RATIO)
 
 CSV_HEADER = ("feature", "G", "estimate", "se", "t", "p", "replications", "seed")
 
-SamplerFactory = Callable[[str, tuple[str, ...]], ConditionalSampler]
+SamplerFactory = Callable[[str, tuple[str, ...]], _AffineSampler]
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,13 +171,10 @@ def _validate_cell(
     feature: str,
     conditioning: tuple[str, ...],
 ) -> None:
+    check_partition(data.target_name, feature, conditioning)
     order = tuple(model.feature_order)
     if feature not in order:
         raise SchemaError(f"feature {feature!r} is not a model feature")
-    if data.target_name in conditioning:
-        raise InvalidPartitionError(
-            f"the response {data.target_name!r} may not appear in a conditioning set"
-        )
     for name in order + conditioning:
         data.column_index(name)  # raises SchemaError when absent
 
@@ -239,7 +229,7 @@ def compute_rfi(
     data: Dataset,
     feature: str,
     conditioning,
-    sampler: ConditionalSampler | None = None,
+    sampler: _AffineSampler | None = None,
     replications: int = 30,
     base_seed: int = 0,
     *,
@@ -313,19 +303,7 @@ def compute_delta_rfi(
     """
     conditioning = _canonical_names(conditioning)
     extension = _canonical_names(extension)
-    overlap = set(conditioning) & set(extension)
-    if overlap:
-        raise InvalidPartitionError(
-            f"extension overlaps the conditioning set: {', '.join(sorted(overlap))}"
-        )
-    if feature in extension:
-        raise InvalidPartitionError(
-            f"feature {feature!r} may not appear in the extension set"
-        )
-    if data.target_name in extension:
-        raise InvalidPartitionError(
-            f"the response {data.target_name!r} may not appear in the extension set"
-        )
+    check_partition(data.target_name, feature, conditioning, extension)
     union = _canonical_names(conditioning + extension)
     context = EvaluationContext(model, loss, data, replications, base_seed)
     estimates = []

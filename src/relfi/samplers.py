@@ -1,33 +1,40 @@
 """Conditional replacement samplers.
 
 The importance engine needs draws of a feature from its conditional law
-given the conditioning set, independent of everything else given that
-set. Two interchangeable constructions are provided on top of a fitted
-Gaussian joint: direct conditional-Gaussian sampling (the default, exact
-under the Gaussian fit) and equicorrelated Gaussian model-X knockoffs.
+given the conditioning set G. Every sampler is built on a Gaussian joint
+fitted to the training rows of the feature and G, and applied to test
+rows. Two kinds are provided:
 
-Independence from the unconditioned variables and the response holds
-structurally: a sampler declares ``required_columns`` and is handed only
-those columns, so its output is a function of the conditioning values
-and the noise alone. Samplers are fit on training rows and applied to
-test rows.
+- direct conditional-Gaussian sampling (the default): exact under the
+  Gaussian fit, and a function of the values of G and the noise alone,
+  so the draw is independent of everything else given G;
+- equicorrelated Gaussian model-X knockoffs (Candes et al. 2018, "Panning
+  for Gold"): the knockoff coordinate of the feature given the whole
+  fitted joint. It reads the observed feature column itself
+  (``required_columns`` is the feature followed by G), so it is not a
+  draw from the law of the feature given G alone. For an empty G the two
+  kinds estimate the same importance; for a nonempty G the knockoff keeps
+  part of the feature's own value and measures something other than
+  importance relative to G.
+
+A sampler declares ``required_columns`` and is handed only those columns,
+so it never sees the response or the features outside its joint.
 
 The sampling contract is ``sample(rows, z)``: ``z`` is a standard-normal
-vector with one entry per row, drawn by the caller, and the sampler is a
-deterministic affine map of ``rows`` and ``z`` with every weight fixed at
-fit time. Equal ``z`` therefore give equal underlying noise across
-conditioning sets, which is what lets the importance engine draw one
-noise block per run and share it between cells.
+vector with one entry per row, drawn by the caller, and every sampler is
+the affine map ``intercept + rows @ slope + scale * z`` with every weight
+fixed at fit time. Equal ``z`` therefore give equal underlying noise
+across conditioning sets, which is what lets the importance engine draw
+one noise block per run and share it between cells.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TEST, TRAIN, Dataset, SchemaError
+from .core import TEST, TRAIN, Dataset, SchemaError, check_partition
 
 # Cap the equicorrelated diagonal at the correlation-scale value 1.0,
 # the marginal-variance bound from the construction.
@@ -158,30 +165,6 @@ def conditional_gaussian_params(
     return slope, intercept, max(variance, 0.0)
 
 
-@runtime_checkable
-class ConditionalSampler(Protocol):
-    """Draws replacement columns for one feature given its conditioning set.
-
-    ``required_columns`` names exactly the inputs ``sample`` consumes; the
-    caller passes a matrix with those columns in that order, plus a
-    standard-normal vector ``z`` with one entry per row. Independence
-    of the replacement from everything outside the conditioning set is
-    enforced by this interface shape, not by convention inside
-    implementations.
-    """
-
-    @property
-    def target(self) -> str: ...
-
-    @property
-    def conditioning(self) -> tuple[str, ...]: ...
-
-    @property
-    def required_columns(self) -> tuple[str, ...]: ...
-
-    def sample(self, rows: np.ndarray, z: np.ndarray) -> np.ndarray: ...
-
-
 def _check_rows(rows: np.ndarray, expected: int) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != expected:
@@ -192,72 +175,57 @@ def _check_rows(rows: np.ndarray, expected: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class GaussianConditionalSampler:
-    """Direct conditional-Gaussian replacement draws."""
+class _AffineSampler:
+    """Replacement draws ``intercept + rows @ slope + scale * z``.
+
+    ``required_columns`` names exactly the inputs ``sample`` consumes, in
+    order (the conditioning set unless given); the caller passes a matrix
+    with those columns plus a standard-normal vector ``z`` with one entry
+    per row. Every weight is fixed at fit time.
+    """
 
     target: str
     conditioning: tuple[str, ...]
     slope: np.ndarray
     intercept: float
     scale: float
+    required_columns: tuple[str, ...] | None = None
 
-    @property
-    def required_columns(self) -> tuple[str, ...]:
-        return self.conditioning
+    def __post_init__(self) -> None:
+        if self.required_columns is None:
+            object.__setattr__(self, "required_columns", self.conditioning)
 
     def sample(self, rows: np.ndarray, z: np.ndarray) -> np.ndarray:
-        rows = _check_rows(rows, len(self.conditioning))
+        rows = _check_rows(rows, len(self.required_columns))
         return self.intercept + rows @ self.slope + self.scale * z
 
 
-@dataclass(frozen=True, eq=False)
-class PointMassSampler:
-    """Degenerate replacement: the feature was constant in training data."""
-
-    target: str
-    conditioning: tuple[str, ...]
-    constant: float
-
-    @property
-    def required_columns(self) -> tuple[str, ...]:
-        return ()
-
-    def sample(self, rows: np.ndarray, z: np.ndarray) -> np.ndarray:
-        rows = _check_rows(rows, 0)
-        return np.full(rows.shape[0], self.constant)
+# Siblings, not aliases or subclasses of one another: callers tell the
+# kinds apart by type, and a tracer may patch ``sample`` on each one.
+class GaussianConditionalSampler(_AffineSampler):
+    """Direct conditional-Gaussian replacement draws."""
 
 
-@dataclass(frozen=True, eq=False)
-class KnockoffSpec:
-    """Equicorrelated knockoff parameterization of a fitted joint.
+class KnockoffSampler(_AffineSampler):
+    """The equicorrelated knockoff coordinate of the target.
 
-    ``s`` is the knockoff diagonal in covariance units. The implied
-    2k x 2k joint over (X, knockoff X) is [[S_, S_ - S], [S_ - S, S_]]
-    with S_ the fitted covariance and S = diag(s).
+    Reads the observed target column as well as the conditioning set:
+    ``required_columns`` is the target followed by the conditioning set.
     """
 
-    joint: GaussianJoint
-    s: np.ndarray
 
-    def __post_init__(self) -> None:
-        s = np.asarray(self.s, dtype=float).reshape(len(self.joint.names))
-        if (s < -_PSD_TOL).any():
-            raise KnockoffError("knockoff diagonal must be nonnegative")
-        s.setflags(write=False)
-        object.__setattr__(self, "s", s)
-
-    def knockoff_covariance(self) -> np.ndarray:
-        cov = self.joint.covariance
-        off = cov - np.diag(self.s)
-        return np.block([[cov, off], [off, cov]])
+class PointMassSampler(_AffineSampler):
+    """Degenerate replacement: the feature was constant in training data."""
 
 
-def equicorrelated_knockoff_s(joint: GaussianJoint) -> KnockoffSpec:
-    """Equicorrelated construction: one shared diagonal value.
+def equicorrelated_knockoff_s(joint: GaussianJoint) -> np.ndarray:
+    """Equicorrelated knockoff diagonal ``s``, in covariance units.
 
     On the correlation scale s = min(2 * lambda_min, 1), rescaled per
-    coordinate by the fitted variances. The implied joint must be PSD
-    within tolerance; a failed repair raises.
+    coordinate by the fitted variances. The implied 2k x 2k joint over
+    (X, knockoff X), [[S_, S_ - S], [S_ - S, S_]] with S_ the fitted
+    covariance and S = diag(s), must be PSD within tolerance; a failed
+    repair raises.
     """
     cov = joint.covariance
     sd = np.sqrt(np.diag(cov))
@@ -265,84 +233,34 @@ def equicorrelated_knockoff_s(joint: GaussianJoint) -> KnockoffSpec:
     lam_min = float(np.linalg.eigvalsh(corr)[0])
     if lam_min <= 0:
         raise KnockoffError("correlation matrix is not positive definite")
-    s_corr = min(2.0 * lam_min, _S_CAP)
-    s = s_corr * np.diag(cov)
+    s = min(2.0 * lam_min, _S_CAP) * np.diag(cov)
     # eigenvalues of the 2k x 2k joint are those of 2*cov - S and of S
     for _ in range(2):
         if float(np.linalg.eigvalsh(2.0 * cov - np.diag(s))[0]) >= -_PSD_TOL:
-            return KnockoffSpec(joint, s)
+            return s
         s = s * (1.0 - 1e-6)
     raise KnockoffError("knockoff joint is not PSD even after shrinking s")
 
 
-def _knockoff_column_params(spec: KnockoffSpec, target: str) -> tuple[np.ndarray, float]:
-    """Mean weights and scale of the knockoff coordinate of ``target``.
+def knockoff_sampler(joint: GaussianJoint) -> KnockoffSampler:
+    """Knockoff of the joint's first variable given all of its variables.
 
     The knockoff vector given X = x is Gaussian with mean
-    mu + (S_ - S) S_^-1 (x - mu) and covariance 2S - S S_^-1 S. The
-    target coordinate is mu_t + (x - mu) @ weights + scale * z.
+    mu + (S_ - S) S_^-1 (x - mu) and covariance 2S - S S_^-1 S. Its first
+    coordinate is mu_t + (x - mu) @ w + scale * z with
+    w = S_^-1 (S_ - S) e_t, so the intercept is mu_t - mu @ w.
     """
-    joint = spec.joint
-    t = joint.index(target)
-    cov = joint.covariance
-    # ((S_ - S) S_^-1 (x - mu))_t = (x - mu) @ S_^-1 (S_ - S) e_t
-    rhs = cov[:, t].copy()
-    rhs[t] -= spec.s[t]
-    weights = np.linalg.solve(cov, rhs)
-    prec_tt = float(np.linalg.solve(cov, np.eye(len(joint.names))[:, t])[t])
-    variance = max(2.0 * spec.s[t] - spec.s[t] ** 2 * prec_tt, 0.0)
-    return weights, np.sqrt(variance)
-
-
-def sample_knockoff_column(
-    spec: KnockoffSpec, rows: np.ndarray, target: str, z: np.ndarray
-) -> np.ndarray:
-    """The knockoff coordinate of ``target`` given observed rows and noise ``z``.
-
-    ``rows`` holds columns for all of ``spec.joint.names`` in order.
-    """
-    rows = _check_rows(rows, len(spec.joint.names))
-    weights, scale = _knockoff_column_params(spec, target)
-    mu = spec.joint.mean
-    return mu[spec.joint.index(target)] + (rows - mu) @ weights + scale * z
-
-
-@dataclass(frozen=True, eq=False)
-class KnockoffSampler:
-    """ConditionalSampler facade over the knockoff construction.
-
-    Needs the observed target column itself (knockoffs condition on the
-    full fitted variable set), so ``required_columns`` is the target
-    followed by the conditioning set. That is still free of the
-    unconditioned variables and the response. The mean weights and the
-    scale are solved once, when the sampler is built.
-    """
-
-    spec: KnockoffSpec
-    weights: np.ndarray = field(init=False)
-    scale: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        weights, scale = _knockoff_column_params(self.spec, self.target)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "scale", scale)
-
-    @property
-    def target(self) -> str:
-        return self.spec.joint.names[0]
-
-    @property
-    def conditioning(self) -> tuple[str, ...]:
-        return self.spec.joint.names[1:]
-
-    @property
-    def required_columns(self) -> tuple[str, ...]:
-        return self.spec.joint.names
-
-    def sample(self, rows: np.ndarray, z: np.ndarray) -> np.ndarray:
-        rows = _check_rows(rows, len(self.spec.joint.names))
-        mu = self.spec.joint.mean
-        return mu[0] + (rows - mu) @ self.weights + self.scale * z
+    s = equicorrelated_knockoff_s(joint)
+    cov, mu = joint.covariance, joint.mean
+    rhs = cov[:, 0].copy()
+    rhs[0] -= s[0]
+    w = np.linalg.solve(cov, rhs)
+    prec_tt = float(np.linalg.solve(cov, np.eye(len(joint.names))[:, 0])[0])
+    scale = np.sqrt(max(2.0 * s[0] - s[0] ** 2 * prec_tt, 0.0))
+    return KnockoffSampler(
+        joint.names[0], joint.names[1:], w, float(mu[0] - mu @ w), float(scale),
+        joint.names,
+    )
 
 
 SAMPLER_KINDS = ("gaussian", "knockoff")
@@ -354,7 +272,7 @@ def fit_sampler(
     conditioning,
     kind: str = "gaussian",
     ridge: float | None = None,
-) -> ConditionalSampler:
+) -> _AffineSampler:
     """Fit a replacement sampler on the training rows.
 
     The joint is fit over the feature plus the conditioning set, which may
@@ -370,16 +288,15 @@ def fit_sampler(
         raise SchemaError(
             f"feature {feature!r} cannot appear in its own conditioning set"
         )
-    if data.target_name in conditioning or data.target_name == feature:
-        raise SchemaError("the response cannot be sampled or conditioned on")
+    check_partition(data.target_name, feature, conditioning)
     names = (feature,) + conditioning
     rows = data.matrix(names, TRAIN)
     xj = rows[:, 0]
     if np.ptp(xj) == 0.0:
-        return PointMassSampler(feature, conditioning, float(xj[0]))
+        return PointMassSampler(feature, conditioning, np.empty(0), float(xj[0]), 0.0, ())
     joint = fit_gaussian(rows, names, ridge)
     if kind == "knockoff":
-        return KnockoffSampler(equicorrelated_knockoff_s(joint))
+        return knockoff_sampler(joint)
     slope, intercept, variance = conditional_gaussian_params(joint, feature, conditioning)
     return GaussianConditionalSampler(
         feature, conditioning, slope, intercept, float(np.sqrt(variance))
@@ -389,13 +306,13 @@ def fit_sampler(
 def sampler_factory(data: Dataset, kind: str = "gaussian", ridge: float | None = None):
     """Bind dataset and options into a (feature, conditioning) -> sampler callable."""
 
-    def factory(feature: str, conditioning) -> ConditionalSampler:
+    def factory(feature: str, conditioning) -> _AffineSampler:
         return fit_sampler(data, feature, conditioning, kind=kind, ridge=ridge)
 
     return factory
 
 
-def sample_replacement(sampler: ConditionalSampler, data: Dataset, seed, split: str = TEST) -> np.ndarray:
+def sample_replacement(sampler: _AffineSampler, data: Dataset, seed, split: str = TEST) -> np.ndarray:
     """One replacement column for the given rows, with noise drawn from ``seed``.
 
     Extracts exactly the sampler's required columns, so no implementation

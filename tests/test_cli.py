@@ -426,6 +426,38 @@ class TestMainVerbs:
         assert main(["run", str(path)]) == 3
         assert "rank deficient" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key", ["data.n", "seed", "replications", "test_fraction", "sampler.ridge", "test.alpha"]
+    )
+    def test_boolean_is_not_a_number(self, tmp_path, capsys, key):
+        mapping = base_mapping(tmp_path)
+        if "." in key:
+            section, field = key.split(".")
+            mapping[section] = {**mapping.get(section, {}), field: True}
+        else:
+            mapping[key] = True
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        assert main(["run", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_ratio_form_refused_on_perfect_fit(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=200).tolist(), rng.normal(size=200).tolist()
+        rows = ["a,b,Y"] + [f"{x!r},{z!r},{x + 2 * z + 0.5!r}" for x, z in zip(a, b)]
+        csv_path = tmp_path / "exact.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        mapping = base_mapping(
+            tmp_path, data={"csv": str(csv_path)}, features=["a", "b"],
+            jobs=[{"feature": "a", "conditioning": []}], form="ratio",
+        )
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        assert main(["run", str(path)]) == 3
+        assert "ratio form" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.csv").exists()
+        assert main(["run", str(path), "--form", "difference"]) == 0
+
     def test_bad_replications_override(self, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_text(yaml.safe_dump(base_mapping(tmp_path)))

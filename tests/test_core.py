@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from relfi.cli import config_from_mapping
 from relfi.core import (
     TEST,
     TRAIN,
@@ -8,14 +11,17 @@ from relfi.core import (
     InvalidPartitionError,
     SchemaError,
     SquaredError,
+    check_partition,
     empirical_risk,
     get_loss,
     load_csv,
-    make_partition,
     save_csv,
     holdout_mask_from_seed,
 )
-from relfi.models import LinearModel
+from relfi.engine import compute_delta_rfi, compute_rfi
+from relfi.models import LinearModel, fit_from_dataset
+from relfi.samplers import fit_sampler, sampler_factory
+from relfi.scm import builtin_experiment_a, sample_scm
 
 
 def small_dataset(n=8, seed=0):
@@ -158,68 +164,75 @@ class TestCsvRoundTrip:
             load_csv(path, "y")
 
 
-class TestMakePartition:
-    def test_four_feature_example(self):
-        part = make_partition(["x1", "x2", "x3", "x4"], "x3", ["x1"])
-        assert part.remaining == ("x1", "x2", "x4")
-        assert part.conditioned == ("x1",)
-        assert part.unconditioned == ("x2", "x4")
-        assert part.external == ()
+PARTITION_RULES = {
+    # rule: (feature, conditioning, extension, message fragment)
+    "target-is-feature": ("Y", (), (), "target may not be the feature of interest"),
+    "target-in-conditioning": ("X1", ("Y",), (), "target may not appear in the conditioning set"),
+    "target-in-extension": ("X1", (), ("Y",), "target may not appear in the extension set"),
+    "extension-overlap": ("X1", ("X2",), ("X2",), "extension overlaps the conditioning set: X2"),
+    "feature-in-extension": ("X1", (), ("X1",), "feature may not appear in the extension set"),
+}
+ENTRY_POINTS = ("check_partition", "compute_rfi", "fit_sampler", "compute_delta_rfi", "config")
+# entry points that take no extension
+CELL_ONLY = ("compute_rfi", "fit_sampler")
 
-    def test_off_training_conditioning_example(self):
-        part = make_partition(["x1", "x2", "x3"], "x2", ["C"], target="y")
-        assert part.remaining == ("x1", "x3")
-        assert part.conditioned == ()
-        assert part.unconditioned == ("x1", "x3")
-        assert part.external == ("C",)
 
-    def test_degenerate_single_feature(self):
-        part = make_partition(["x1"], "x1", [])
-        assert part.remaining == ()
-        assert part.conditioned == ()
-        assert part.unconditioned == ()
-        assert part.external == ()
+@pytest.fixture(scope="module")
+def chain():
+    data = sample_scm(builtin_experiment_a(), 400, seed=0)
+    return data, fit_from_dataset(data)
 
-    def test_order_insensitive_and_idempotent(self):
-        a = make_partition(["x3", "x1", "x2"], "x2", ["x3", "x1"])
-        b = make_partition(["x1", "x2", "x3"], "x2", ["x1", "x3"])
-        assert a == b
-        # sets partition cleanly
-        assert set(a.conditioned) | set(a.unconditioned) == set(a.remaining)
-        assert set(a.conditioned) & set(a.unconditioned) == set()
 
-    def test_extension_sets(self):
-        part = make_partition(
-            ["x1", "x2", "x3", "x4"], "x3", ["x2"], target="y", extension=["x1", "C"]
-        )
-        assert part.extension == ("C", "x1")
-        assert part.extension_in_remaining == ("x1",)
-        assert part.extension_external == ("C",)
-        assert part.unconditioned_without_extension == ("x4",)
+class TestCheckPartition:
+    @pytest.mark.parametrize(
+        "rule,entry",
+        [
+            (rule, entry)
+            for rule, (_, _, extension, _) in PARTITION_RULES.items()
+            for entry in ENTRY_POINTS
+            if not (extension and entry in CELL_ONLY)
+        ],
+    )
+    def test_rule_rejected_everywhere(self, chain, rule, entry):
+        data, model = chain
+        feature, cond, ext, fragment = PARTITION_RULES[rule]
+        if entry == "config":
+            config, problems = config_from_mapping({
+                "data": {"graph": "experiment_a", "n": 400},
+                "target": "Y",
+                "features": list(model.feature_order),
+                "jobs": [{"feature": feature, "conditioning": list(cond), "extension": list(ext)}],
+                "output": "out",
+            })
+            assert config is None
+            assert any(
+                p.startswith(f"jobs[0] (feature={feature}): ") and fragment in p
+                for p in problems
+            ), problems
+            return
+        calls = {
+            "check_partition": lambda: check_partition("Y", feature, cond, ext),
+            "compute_rfi": lambda: compute_rfi(
+                model, SquaredError(), data, feature, cond, None, replications=2
+            ),
+            "fit_sampler": lambda: fit_sampler(data, feature, cond),
+            "compute_delta_rfi": lambda: compute_delta_rfi(
+                model, SquaredError(), data, feature, cond, ext, sampler_factory(data),
+                replications=2,
+            ),
+        }
+        with pytest.raises(InvalidPartitionError, match=re.escape(fragment)):
+            calls[entry]()
 
-    def test_feature_not_in_features(self):
-        with pytest.raises(InvalidPartitionError):
-            make_partition(["x1", "x2"], "x9", [])
-
-    def test_target_in_conditioning(self):
-        with pytest.raises(InvalidPartitionError):
-            make_partition(["x1", "x2"], "x1", ["y"], target="y")
-
-    def test_target_among_features(self):
-        with pytest.raises(InvalidPartitionError):
-            make_partition(["x1", "y"], "x1", [], target="y")
-
-    def test_feature_in_own_conditioning(self):
-        with pytest.raises(InvalidPartitionError):
-            make_partition(["x1", "x2"], "x1", ["x1"])
-
-    def test_extension_overlap(self):
-        with pytest.raises(InvalidPartitionError):
-            make_partition(["x1", "x2", "x3"], "x1", ["x2"], extension=["x2"])
-
-    def test_feature_in_extension(self):
-        with pytest.raises(InvalidPartitionError):
-            make_partition(["x1", "x2"], "x1", [], extension=["x1"])
+    def test_every_violation_in_one_message(self):
+        with pytest.raises(InvalidPartitionError) as info:
+            check_partition("Y", "Y", ("Y", "X2"), ("X2", "Y"))
+        message = str(info.value)
+        for rule in ("target-is-feature", "target-in-conditioning", "target-in-extension",
+                     "extension-overlap"):
+            assert PARTITION_RULES[rule][3] in message
+        # an identity cell is a legal partition
+        check_partition("Y", "X1", ("X1", "X2"), ("C",))
 
 
 class TestEmpiricalRisk:

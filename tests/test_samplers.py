@@ -6,9 +6,7 @@ from relfi.samplers import (
     CovarianceError,
     GaussianConditionalSampler,
     GaussianJoint,
-    KnockoffError,
     KnockoffSampler,
-    KnockoffSpec,
     PointMassSampler,
     SamplerStateError,
     conditional_gaussian_params,
@@ -16,7 +14,7 @@ from relfi.samplers import (
     equicorrelated_knockoff_s,
     fit_gaussian,
     fit_sampler,
-    sample_knockoff_column,
+    knockoff_sampler,
     sample_replacement,
     sampler_factory,
 )
@@ -197,12 +195,12 @@ class TestPointMass:
         data = Dataset(("a", "b", "Y"), values, "Y", mask)
         s = fit_sampler(data, "a", ("b",))
         assert isinstance(s, PointMassSampler)
-        assert s.constant == 7.0
+        assert s.intercept == 7.0
         out = sample_replacement(s, data, seed=0)
         assert np.array_equal(out, np.full(4, 7.0))
 
     def test_direct_interface(self):
-        s = PointMassSampler("a", (), 2.5)
+        s = PointMassSampler("a", (), np.empty(0), 2.5, 0.0)
         assert s.required_columns == ()
         assert np.array_equal(
             s.sample(np.empty((3, 0)), np.random.default_rng(1).standard_normal(3)),
@@ -215,33 +213,34 @@ class TestPointMass:
 class TestKnockoffConstruction:
     def test_equicorrelated_identity(self):
         joint = GaussianJoint(("a", "b"), np.zeros(2), np.eye(2), 0.0)
-        spec = equicorrelated_knockoff_s(joint)
-        assert np.allclose(spec.s, [1.0, 1.0])
+        s = equicorrelated_knockoff_s(joint)
+        assert np.allclose(s, [1.0, 1.0])
 
     def test_equicorrelated_known_values(self):
         # rho = 0.5: 2 * lambda_min = 1, exactly at the cap
         cov = np.array([[1.0, 0.5], [0.5, 1.0]])
-        spec = equicorrelated_knockoff_s(GaussianJoint(("a", "b"), np.zeros(2), cov, 0.0))
-        assert np.allclose(spec.s, [1.0, 1.0])
+        s = equicorrelated_knockoff_s(GaussianJoint(("a", "b"), np.zeros(2), cov, 0.0))
+        assert np.allclose(s, [1.0, 1.0])
         # rho = 0.9: s = 0.2 on the correlation scale
         cov = np.array([[1.0, 0.9], [0.9, 1.0]])
-        spec = equicorrelated_knockoff_s(GaussianJoint(("a", "b"), np.zeros(2), cov, 0.0))
-        assert np.allclose(spec.s, [0.2, 0.2])
+        s = equicorrelated_knockoff_s(GaussianJoint(("a", "b"), np.zeros(2), cov, 0.0))
+        assert np.allclose(s, [0.2, 0.2])
 
     def test_scale_carries_variances(self):
         # same correlation 0.9 but unequal variances
         cov = np.array([[4.0, 1.8], [1.8, 1.0]])
-        spec = equicorrelated_knockoff_s(GaussianJoint(("a", "b"), np.zeros(2), cov, 0.0))
-        assert np.allclose(spec.s, [0.8, 0.2])
+        s = equicorrelated_knockoff_s(GaussianJoint(("a", "b"), np.zeros(2), cov, 0.0))
+        assert np.allclose(s, [0.8, 0.2])
 
     def test_joint_covariance_block_structure_and_psd(self):
         cov = np.array([[2.0, 0.6], [0.6, 1.0]])
-        spec = equicorrelated_knockoff_s(GaussianJoint(("a", "b"), np.zeros(2), cov, 0.0))
-        big = spec.knockoff_covariance()
+        s = equicorrelated_knockoff_s(GaussianJoint(("a", "b"), np.zeros(2), cov, 0.0))
+        off = cov - np.diag(s)
+        big = np.block([[cov, off], [off, cov]])
         assert big.shape == (4, 4)
         assert np.allclose(big[:2, :2], cov)
         assert np.allclose(big[2:, 2:], cov)
-        assert np.allclose(big[:2, 2:], cov - np.diag(spec.s))
+        assert np.allclose(big[:2, 2:], cov - np.diag(s))
         assert float(np.linalg.eigvalsh(big)[0]) >= -1e-8
 
     def test_near_collinear_collapses_toward_copies(self):
@@ -249,32 +248,38 @@ class TestKnockoffConstruction:
         # almost nothing and the knockoff is nearly a copy of the original
         x = np.linspace(0.0, 1.0, 50)
         joint = fit_gaussian(np.column_stack([x, x]), ("a", "b"), ridge=1e-10)
-        spec = equicorrelated_knockoff_s(joint)
-        assert spec.s.max() < 1e-6
-
-    def test_negative_s_rejected(self):
-        joint = GaussianJoint(("a",), np.zeros(1), np.eye(1), 0.0)
-        with pytest.raises(KnockoffError, match="nonnegative"):
-            KnockoffSpec(joint, np.array([-0.5]))
+        s = equicorrelated_knockoff_s(joint)
+        assert s.max() < 1e-6
 
 
 class TestKnockoffSampler:
     def test_univariate_reduces_to_marginal(self):
         # k = 1: s equals the variance, so the draw ignores the input column
         joint = GaussianJoint(("a",), np.zeros(1), np.array([[4.0]]), 0.0)
-        spec = equicorrelated_knockoff_s(joint)
         rows = np.array([[10.0], [-10.0], [0.0]])
-        out = sample_knockoff_column(spec, rows, "a", np.random.default_rng(7).standard_normal(3))
+        out = knockoff_sampler(joint).sample(rows, np.random.default_rng(7).standard_normal(3))
         expected = 2.0 * np.random.default_rng(7).standard_normal(3)
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_fitted_sampler_matches_column_draw(self, data_a):
-        # weights solved at fit time give the same bits as solving per draw
+        # closed form of the knockoff coordinate given X = x, from the
+        # fitted joint: mu_t + (x - mu) @ w + scale * z, with
+        # w = cov^-1 (cov - S) e_t and scale^2 = 2 s_t - s_t^2 (cov^-1)_tt
         s = fit_sampler(data_a, "X4", ("X2",), kind="knockoff")
+        names = ("X4", "X2")
+        joint = fit_gaussian(data_a.matrix(names, TRAIN), names)
+        knock_s = equicorrelated_knockoff_s(joint)
+        cov, mu = joint.covariance, joint.mean
+        prec = np.linalg.inv(cov)
+        w = prec @ (cov - np.diag(knock_s))[:, 0]
+        scale = np.sqrt(2.0 * knock_s[0] - knock_s[0] ** 2 * prec[0, 0])
         rows = data_a.matrix(s.required_columns, TEST)
         z = np.random.default_rng(3).standard_normal(rows.shape[0])
-        expected = sample_knockoff_column(s.spec, rows, "X4", z)
-        assert s.sample(rows, z).tobytes() == expected.tobytes()
+        expected = mu[0] + (rows - mu) @ w + scale * z
+        # relative to the largest draw: near-zero draws lose relative
+        # precision to cancellation in either form
+        err = np.abs(s.sample(rows, z) - expected).max()
+        assert err <= 1e-12 * np.abs(expected).max()
 
     def test_deterministic(self, data_a):
         s = fit_sampler(data_a, "X4", ("X2",), kind="knockoff")
@@ -305,7 +310,9 @@ class TestKnockoffSampler:
         s = fit_sampler(data_a, "X4", ("X2",), kind="knockoff")
         out = sample_replacement(s, data_a, seed=8)
         x4 = data_a.matrix(("X4",), TEST)[:, 0]
-        expected = 2.0 - s.spec.s[0]
+        names = ("X4", "X2")
+        joint = fit_gaussian(data_a.matrix(names, TRAIN), names)
+        expected = 2.0 - equicorrelated_knockoff_s(joint)[0]
         cov_self = np.cov(out, x4, ddof=1)[0, 1]
         assert abs(cov_self - expected) < 0.1
         assert cov_self < 1.9
