@@ -26,13 +26,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
+from typing import Callable, NamedTuple
 
-import numpy as np
 import yaml
 from scipy import stats
 
 from . import engine
 from .core import (
+    LOSSES,
     TEST,
     TRAIN,
     Dataset,
@@ -44,13 +45,12 @@ from .core import (
     load_csv,
     save_csv,
 )
-from .inference import DEFAULT_ALPHA, get_test
+from .inference import DEFAULT_ALPHA, TEST_KINDS, get_test
 from .models import FitError, LinearModel, fit_from_dataset, load_model, save_model
 from .samplers import SAMPLER_KINDS, CovarianceError, KnockoffError, fit_sampler
 from .scm import BUILTIN_GRAPHS, GraphError, ScmGraph, builtin_graph, load_graph, sample_scm
 
 BUNDLED_CONFIGS = ("experiment_a", "experiment_b")
-TEST_KINDS = ("paired-t", "sign-flip")
 
 _PALETTE = (
     "#4c72b0", "#dd8452", "#55a868", "#c44e52",
@@ -93,41 +93,82 @@ class ExperimentConfig:
     ridge: float | None = None
     replications: int = 30
     form: str = engine.DIFFERENCE
-    test_kind: str = "paired-t"
+    test_kind: str = TEST_KINDS[0]
     alpha: float = DEFAULT_ALPHA
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    """Whether a parsed YAML value is a number of ``kind``; booleans are not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _is_int(value, low: int) -> bool:
+    return _is_number(value, int) and value >= low
+
+
+def _is_text(value) -> bool:
+    return isinstance(value, str) and bool(value)
+
+
+def _one_of(choices) -> tuple:
+    return tuple(choices).__contains__, f"must be one of {', '.join(choices)}"
+
+
+class _Key(NamedTuple):
+    """One scalar config key: where it sits, the field it sets, what it accepts."""
+
+    path: str
+    field: str
+    accepts: Callable[[object], bool]
+    requirement: str
+    cast: Callable | None = None  # float: YAML reads `ridge: 1` as an int
+
+
+# The config schema, one row per scalar key; a key under a section is
+# written "section.key". Defaults are the ExperimentConfig field defaults,
+# and a field without one is a required key. ``features`` and ``jobs``
+# are lists, parsed and written by hand below.
+_KEYS = (
+    _Key("data.graph", "data_graph", _is_text, "must be a built-in graph name or a graph file"),
+    _Key("data.n", "data_n", lambda v: _is_int(v, 1), "must be a positive integer"),
+    _Key("data.csv", "data_csv", _is_text, "must be a CSV file path"),
+    _Key("data.split_column", "split_column", _is_text, "must be a column name"),
+    _Key("target", "target", _is_text, "must be a non-empty string"),
+    _Key("test_fraction", "test_fraction", lambda v: _is_number(v) and 0 < v < 1,
+         "must be a number strictly between 0 and 1"),
+    _Key("seed", "seed", lambda v: _is_int(v, 0), "must be a non-negative integer"),
+    _Key("model", "model", _is_text, "must be 'ols' or a model file path"),
+    _Key("loss", "loss", *_one_of(LOSSES)),
+    _Key("sampler.kind", "sampler_kind", *_one_of(SAMPLER_KINDS)),
+    _Key("sampler.ridge", "ridge", lambda v: v is None or _is_number(v) and v >= 0,
+         "must be null or a number >= 0", float),
+    _Key("replications", "replications", lambda v: _is_int(v, 1), "must be an integer >= 1"),
+    _Key("form", "form", *_one_of(engine.FORMS)),
+    _Key("test.kind", "test_kind", *_one_of(TEST_KINDS)),
+    _Key("test.alpha", "alpha", lambda v: _is_number(v) and 0 < v < 1,
+         "must lie strictly between 0 and 1"),
+    _Key("output", "output", _is_text, "must be a non-empty directory path"),
+)
+
+
 def config_to_mapping(config: ExperimentConfig) -> dict:
-    data: dict = {}
-    if config.data_csv is not None:
-        data["csv"] = config.data_csv
-        if config.split_column is not None:
-            data["split_column"] = config.split_column
-    else:
-        data["graph"] = config.data_graph
-        data["n"] = config.data_n
-    return {
-        "data": data,
-        "target": config.target,
-        "features": list(config.features),
-        "test_fraction": config.test_fraction,
-        "seed": config.seed,
-        "model": config.model,
-        "loss": config.loss,
-        "sampler": {"kind": config.sampler_kind, "ridge": config.ridge},
-        "replications": config.replications,
-        "form": config.form,
-        "test": {"kind": config.test_kind, "alpha": config.alpha},
-        "jobs": [
-            {
-                "feature": job.feature,
-                "conditioning": list(job.conditioning),
-                **({"extension": list(job.extension)} if job.extension is not None else {}),
-            }
-            for job in config.jobs
-        ],
-        "output": config.output,
-    }
+    mapping: dict = {}
+    for key in _KEYS:
+        section, _, name = key.path.rpartition(".")
+        value = getattr(config, key.field)
+        if section == "data" and value is None:
+            continue  # the keys of the other data source
+        (mapping.setdefault(section, {}) if section else mapping)[name] = value
+    mapping["features"] = list(config.features)
+    mapping["jobs"] = [
+        {
+            "feature": job.feature,
+            "conditioning": list(job.conditioning),
+            **({"extension": list(job.extension)} if job.extension is not None else {}),
+        }
+        for job in config.jobs
+    ]
+    return mapping
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -136,11 +177,6 @@ def config_hash(config: ExperimentConfig) -> str:
     mapping.pop("output")
     blob = json.dumps(mapping, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _is_number(value, kind=(int, float)) -> bool:
-    """Whether a parsed YAML value is a number of ``kind``; booleans are not."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _name_list(raw, where: str, problems: list[str]) -> tuple[str, ...]:
@@ -181,46 +217,51 @@ def config_from_mapping(mapping) -> tuple[ExperimentConfig | None, list[str]]:
     A config object is returned only when no problems were found, so the
     two outcomes cannot be mixed up.
     """
-    problems: list[str] = []
     if not isinstance(mapping, dict):
         return None, ["config must be a YAML mapping"]
-    known = {
-        "data", "target", "features", "test_fraction", "seed", "model", "loss",
-        "sampler", "replications", "form", "test", "jobs", "output",
-    }
-    for key in set(mapping) - known:
-        problems.append(f"unknown top-level key {key!r}")
-
-    data = mapping.get("data")
-    data_graph = data_n = data_csv = split_column = None
-    if not isinstance(data, dict):
-        problems.append("data: required mapping with 'graph' + 'n', or 'csv'")
-    else:
-        unknown = set(data) - {"graph", "n", "csv", "split_column"}
+    problems: list[str] = []
+    known: dict[str, list[str]] = {"": ["features", "jobs"]}
+    for key in _KEYS:
+        section, _, name = key.path.rpartition(".")
+        known.setdefault(section, []).append(name)
+        known[""].append(section or name)
+    for name in sorted(set(mapping) - set(known[""]), key=str):
+        problems.append(f"unknown top-level key {name!r}")
+    sections = {"": mapping}
+    for section in list(known)[1:]:
+        raw = mapping.get(section)
+        if raw is not None and not isinstance(raw, dict):
+            problems.append(f"{section}: expected a mapping")
+        sections[section] = raw if isinstance(raw, dict) else {}
+        unknown = set(sections[section]) - set(known[section])
         if unknown:
-            problems.append(f"data: unknown keys {', '.join(sorted(unknown))}")
-        has_graph, has_csv = "graph" in data, "csv" in data
-        if has_graph == has_csv:
-            problems.append("data: give exactly one of 'graph' or 'csv'")
-        elif has_graph:
-            data_graph = str(data["graph"])
-            if not _is_number(data.get("n"), int) or data["n"] < 1:
-                problems.append("data.n: required positive integer with 'graph'")
-            else:
-                data_n = data["n"]
-            if "split_column" in data:
-                problems.append("data.split_column: only valid with 'csv'")
-        else:
-            data_csv = str(data["csv"])
-            if "n" in data:
-                problems.append("data.n: only valid with 'graph'")
-            if "split_column" in data:
-                split_column = str(data["split_column"])
+            problems.append(f"{section}: unknown keys {', '.join(sorted(map(str, unknown)))}")
 
-    target = mapping.get("target")
-    if not isinstance(target, str) or not target:
-        problems.append("target: required non-empty string")
-        target = "?"
+    required = {f.name for f in dataclasses.fields(ExperimentConfig)
+                if f.default is dataclasses.MISSING}
+    values: dict = {}
+    for key in _KEYS:
+        section, _, name = key.path.rpartition(".")
+        if name not in sections[section] and key.field not in required:
+            continue
+        value = sections[section].get(name)
+        if not key.accepts(value):
+            problems.append(f"{key.path}: {key.requirement}")
+        else:
+            values[key.field] = key.cast(value) if key.cast and value is not None else value
+
+    data = sections["data"]
+    if ("graph" in data) == ("csv" in data):
+        problems.append("data: give exactly one of 'graph' or 'csv'")
+    elif "graph" in data:
+        if "n" not in data:
+            problems.append("data.n: required with 'graph'")
+        if "split_column" in data:
+            problems.append("data.split_column: only valid with 'csv'")
+    elif "n" in data:
+        problems.append("data.n: only valid with 'graph'")
+
+    target = values.get("target")
     features = _name_list(mapping.get("features"), "features", problems)
     if not features:
         problems.append("features: required non-empty list")
@@ -229,70 +270,7 @@ def config_from_mapping(mapping) -> tuple[ExperimentConfig | None, list[str]]:
     if target in features:
         problems.append("features: the target cannot be a feature")
 
-    test_fraction = mapping.get("test_fraction", 0.10)
-    if not _is_number(test_fraction) or not 0.0 < float(test_fraction) < 1.0:
-        problems.append("test_fraction: must be a number strictly between 0 and 1")
-        test_fraction = 0.10
-    seed = mapping.get("seed", 0)
-    if not _is_number(seed, int):
-        problems.append("seed: must be an integer")
-        seed = 0
-    model = mapping.get("model", "ols")
-    if not isinstance(model, str) or not model:
-        problems.append("model: must be 'ols' or a model file path")
-        model = "ols"
-    loss = mapping.get("loss", "squared")
-    try:
-        get_loss(str(loss))
-    except ValueError as exc:
-        problems.append(f"loss: {exc}")
-
-    sampler = mapping.get("sampler") or {}
-    sampler_kind, ridge = "gaussian", None
-    if not isinstance(sampler, dict):
-        problems.append("sampler: expected a mapping with 'kind' and optional 'ridge'")
-    else:
-        unknown = set(sampler) - {"kind", "ridge"}
-        if unknown:
-            problems.append(f"sampler: unknown keys {', '.join(sorted(unknown))}")
-        sampler_kind = str(sampler.get("kind", "gaussian"))
-        if sampler_kind not in SAMPLER_KINDS:
-            problems.append(
-                f"sampler.kind: must be one of {', '.join(SAMPLER_KINDS)}"
-            )
-        raw_ridge = sampler.get("ridge")
-        if raw_ridge is not None:
-            if not _is_number(raw_ridge) or float(raw_ridge) < 0:
-                problems.append("sampler.ridge: must be null or a number >= 0")
-            else:
-                ridge = float(raw_ridge)
-
-    replications = mapping.get("replications", 30)
-    if not _is_number(replications, int) or replications < 1:
-        problems.append("replications: must be an integer >= 1")
-        replications = 30
-    form = str(mapping.get("form", engine.DIFFERENCE))
-    if form not in engine.FORMS:
-        problems.append(f"form: must be one of {', '.join(engine.FORMS)}")
-
-    test = mapping.get("test") or {}
-    test_kind, alpha = "paired-t", DEFAULT_ALPHA
-    if not isinstance(test, dict):
-        problems.append("test: expected a mapping with 'kind' and 'alpha'")
-    else:
-        unknown = set(test) - {"kind", "alpha"}
-        if unknown:
-            problems.append(f"test: unknown keys {', '.join(sorted(unknown))}")
-        test_kind = str(test.get("kind", "paired-t"))
-        if test_kind not in TEST_KINDS:
-            problems.append(f"test.kind: must be one of {', '.join(TEST_KINDS)}")
-        raw_alpha = test.get("alpha", DEFAULT_ALPHA)
-        if not _is_number(raw_alpha) or not 0.0 < float(raw_alpha) < 1.0:
-            problems.append("test.alpha: must lie strictly between 0 and 1")
-        else:
-            alpha = float(raw_alpha)
-
-    jobs = _parse_jobs(mapping.get("jobs", []), problems)
+    jobs = _parse_jobs(mapping.get("jobs"), problems)
     for k, job in enumerate(jobs):
         where = f"jobs[{k}] (feature={job.feature})"
         if job.feature not in features:
@@ -302,36 +280,9 @@ def config_from_mapping(mapping) -> tuple[ExperimentConfig | None, list[str]]:
         except InvalidPartitionError as exc:
             problems.append(f"{where}: {exc}")
 
-    output = mapping.get("output")
-    if not isinstance(output, str) or not output:
-        problems.append("output: required non-empty directory path")
-        output = "?"
-
     if problems:
         return None, problems
-    return (
-        ExperimentConfig(
-            target=target,
-            features=features,
-            jobs=jobs,
-            output=output,
-            data_graph=data_graph,
-            data_n=data_n,
-            data_csv=data_csv,
-            split_column=split_column,
-            test_fraction=float(test_fraction),
-            seed=seed,
-            model=model,
-            loss=str(loss),
-            sampler_kind=sampler_kind,
-            ridge=ridge,
-            replications=replications,
-            form=form,
-            test_kind=test_kind,
-            alpha=alpha,
-        ),
-        [],
-    )
+    return ExperimentConfig(features=features, jobs=jobs, **values), []
 
 
 def _resolve_config_text(ref: str) -> str:
@@ -349,19 +300,29 @@ def _resolve_config_text(ref: str) -> str:
     )
 
 
-def load_config(ref: str) -> ExperimentConfig:
-    config, problems = parse_config_text(_resolve_config_text(ref), ref)
+def load_config(ref: str, overrides=()) -> ExperimentConfig:
+    """The config ``ref`` names, (dotted key, value) ``overrides`` replacing its values."""
+    config, problems = parse_config_text(_resolve_config_text(ref), ref, overrides)
     if problems:
         raise ConfigError("\n".join(problems))
     assert config is not None
     return config
 
 
-def parse_config_text(text: str, where: str) -> tuple[ExperimentConfig | None, list[str]]:
+def parse_config_text(
+    text: str, where: str, overrides=()
+) -> tuple[ExperimentConfig | None, list[str]]:
     try:
         mapping = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         return None, [f"{where}: not valid YAML ({exc})"]
+    for path, value in overrides if isinstance(mapping, dict) else ():
+        section, _, name = path.rpartition(".")
+        if section and mapping.get(section) is None:
+            mapping[section] = {}
+        target = mapping[section] if section else mapping
+        if isinstance(target, dict):  # otherwise the parser reports the section
+            target[name] = value
     return config_from_mapping(mapping)
 
 
@@ -517,14 +478,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     context = engine.EvaluationContext(
         model, loss, data, config.replications, config.seed
     )
-    if config.form == engine.RATIO and context.baseline_risk <= (
-        np.finfo(float).eps * np.var(context.y)
-    ):
-        raise RunError(
-            f"the ratio form is undefined here: the baseline risk "
-            f"{context.baseline_risk!r} is negligible next to the variance of "
-            f"the test response (a perfect fit); use the difference form"
-        )
+    if config.form == engine.RATIO:
+        engine.check_ratio_baseline(context.baseline_risk, context.ratio_floor)
 
     def evaluate(cell: tuple[str, tuple[str, ...]]):
         feature, cond = cell
@@ -723,6 +678,13 @@ def _cond_text(conditioning: tuple[str, ...]) -> str:
     return "G = {" + ", ".join(conditioning) + "}"
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relfi",
@@ -736,8 +698,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--output", help="override the output directory")
     p_run.add_argument("--seed", type=int, help="override the base seed")
     p_run.add_argument("--replications", type=int, help="override the replication count")
-    p_run.add_argument("--sampler", choices=SAMPLER_KINDS, help="override the sampler kind")
-    p_run.add_argument("--form", choices=engine.FORMS, help="override the estimate form")
+    p_run.add_argument("--sampler", help="override the sampler kind")
+    p_run.add_argument("--form", help="override the estimate form")
     p_run.add_argument("--jobs", type=int, default=1,
                        help="max concurrent jobs (default 1)")
 
@@ -748,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("graph", help="graph file path or built-in name "
                        f"({', '.join(sorted(BUILTIN_GRAPHS))})")
     p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_seed, default=0)
     p_sim.add_argument("--target", default=None)
     p_sim.add_argument("--test-fraction", type=float, default=0.10)
     p_sim.add_argument("--out", required=True, help="CSV path to write")
@@ -760,28 +722,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated names (default: all non-target columns)")
     p_fit.add_argument("--split-column", default=None)
     p_fit.add_argument("--test-fraction", type=float, default=0.10)
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--seed", type=_seed, default=0)
     p_fit.add_argument("--out", default=None, help="model file to write")
     return parser
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
-    overrides = {}
-    if args.output is not None:
-        overrides["output"] = args.output
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.replications is not None:
-        if args.replications < 1:
-            raise ConfigError("--replications must be >= 1")
-        overrides["replications"] = args.replications
-    if args.sampler is not None:
-        overrides["sampler_kind"] = args.sampler
-    if args.form is not None:
-        overrides["form"] = args.form
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    flags = {"output": args.output, "seed": args.seed, "replications": args.replications,
+             "sampler.kind": args.sampler, "form": args.form}
+    config = load_config(args.config, [(k, v) for k, v in flags.items() if v is not None])
     result = run_experiment(config, workers=args.jobs)
     print(
         f"wrote {result.csv_path}, {result.svg_path}, {result.manifest_path} "
@@ -864,10 +813,7 @@ def main(argv=None) -> int:
         FitError,
         CovarianceError,
         KnockoffError,
-        GraphError,
-        SchemaError,
-        np.linalg.LinAlgError,
-        ValueError,
+        ValueError,  # also GraphError, SchemaError and numpy's LinAlgError
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -265,15 +265,15 @@ class SquaredError:
         return "SquaredError()"
 
 
-_LOSSES = {"squared": SquaredError}
+LOSSES = {"squared": SquaredError}
 
 
 def get_loss(name: str) -> LossFunction:
     try:
-        return _LOSSES[name]()
+        return LOSSES[name]()
     except KeyError:
         raise ValueError(
-            f"unknown loss {name!r}; available: {', '.join(sorted(_LOSSES))}"
+            f"unknown loss {name!r}; available: {', '.join(sorted(LOSSES))}"
         ) from None
 
 

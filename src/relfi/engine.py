@@ -67,6 +67,7 @@ class RfiEstimate:
     perturbed_risks: tuple[float, ...]
     first_differences: np.ndarray
     base_seed: int
+    ratio_floor: float = 0.0
 
     def __post_init__(self) -> None:
         if len(self.perturbed_risks) < 1:
@@ -109,10 +110,12 @@ class RfiEstimate:
     @property
     def ratio(self) -> float:
         """Risk-ratio form of the estimate, perturbed over baseline."""
+        check_ratio_baseline(self.baseline_risk, self.ratio_floor)
         return float(self._mean_risk / self.baseline_risk)
 
     @property
     def ratio_se(self) -> float:
+        check_ratio_baseline(self.baseline_risk, self.ratio_floor)
         return self._spread(np.asarray(self.perturbed_risks) / self.baseline_risk)
 
     def value(self, form: str = DIFFERENCE) -> float:
@@ -156,6 +159,16 @@ class DeltaRfi:
         return math.hypot(self.base.se, self.extended.se)
 
 
+def check_ratio_baseline(baseline_risk: float, floor: float) -> None:
+    """Refuse the ratio form (ValueError) on a baseline risk at or below ``floor``:
+    a perfect fit, where the ratio would divide rounding noise by rounding noise."""
+    if baseline_risk <= floor:
+        raise ValueError(
+            f"the ratio form is undefined: the baseline risk {baseline_risk!r} is negligible "
+            "next to the variance of the test response (a perfect fit); use the difference form"
+        )
+
+
 def _check_form(form: str) -> None:
     if form not in FORMS:
         raise ValueError(f"form must be one of {', '.join(FORMS)}; got {form!r}")
@@ -185,9 +198,10 @@ class EvaluationContext:
 
     Built from the model, loss, data, replication count and base seed, it
     holds the test matrix ``X``, the response ``y``, the baseline losses
-    and risk, and ``noise``: row r is the standard-normal vector drawn
-    from the seed pair (base seed, r), one entry per test row. All arrays
-    are locked read-only, so one context can serve concurrent cells.
+    and risk, ``ratio_floor`` (machine epsilon times var(y), see
+    ``check_ratio_baseline``) and ``noise``: row r is the standard-normal
+    vector drawn from the seed pair (base seed, r), one entry per test row.
+    All arrays are locked read-only, so one context can serve concurrent cells.
     """
 
     model: PredictiveModel
@@ -199,6 +213,7 @@ class EvaluationContext:
     y: np.ndarray = field(init=False)
     base_losses: np.ndarray = field(init=False)
     baseline_risk: float = field(init=False)
+    ratio_floor: float = field(init=False)
     noise: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -217,7 +232,8 @@ class EvaluationContext:
             arr.setflags(write=False)
         derived = dict(
             replications=replications, base_seed=base_seed, X=X, y=y,
-            base_losses=base_losses, baseline_risk=float(base_losses.mean()), noise=noise,
+            base_losses=base_losses, baseline_risk=float(base_losses.mean()),
+            ratio_floor=float(np.finfo(float).eps * np.var(y)), noise=noise,
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -261,7 +277,7 @@ def compute_rfi(
         # reproduces the baseline losses bit for bit
         return RfiEstimate(
             feature, conditioning, baseline, (baseline,) * context.replications,
-            np.zeros(context.X.shape[0]), context.base_seed,
+            np.zeros(context.X.shape[0]), context.base_seed, context.ratio_floor,
         )
     if sampler is None:
         raise SchemaError("a fitted sampler is required when feature not in G")
@@ -281,7 +297,8 @@ def compute_rfi(
         if r == 0:
             first_diff = losses - context.base_losses
     return RfiEstimate(
-        feature, conditioning, baseline, tuple(perturbed), first_diff, context.base_seed
+        feature, conditioning, baseline, tuple(perturbed), first_diff, context.base_seed,
+        context.ratio_floor,
     )
 
 

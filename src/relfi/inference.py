@@ -141,9 +141,12 @@ def confidence_interval(differences, level: float = 0.95) -> tuple[float, float]
     return (mean - half, mean + half)
 
 
+# the config names of the tests; the first is the default
+_TESTS = {"paired-t": paired_t_one_sided, "sign-flip": sign_flip_exact}
+TEST_KINDS = tuple(_TESTS)
+
+
 def get_test(kind: str):
-    if kind == "paired-t":
-        return paired_t_one_sided
-    if kind == "sign-flip":
-        return sign_flip_exact
-    raise ValueError(f"unknown test kind {kind!r}; available: paired-t, sign-flip")
+    if kind not in _TESTS:
+        raise ValueError(f"unknown test kind {kind!r}; available: {', '.join(TEST_KINDS)}")
+    return _TESTS[kind]

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +126,12 @@ class TestConfigParsing:
         assert "jobs[3]" in text and "feature may not appear in the extension" in text
         assert "jobs[4]" in text and "target may not appear in the extension" in text
 
+    @pytest.mark.parametrize("source", ["graph", "csv"])
+    def test_data_source_must_be_a_string(self, tmp_path, source):
+        data = {source: 5, **({"n": 10} if source == "graph" else {})}
+        _, problems = config_from_mapping(base_mapping(tmp_path, data=data))
+        assert any(p.startswith(f"data.{source}: must be") for p in problems)
+
     def test_target_not_a_feature(self, tmp_path):
         _, problems = config_from_mapping(
             base_mapping(tmp_path, features=["X1", "Y"])
@@ -146,6 +154,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bundled configs"):
             load_config("nonexistent.yaml")
 
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Config files", 1)[1]
+        block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+        config, problems = config_from_mapping(yaml.safe_load(block))
+        assert problems == []
+        assert config is not None
+
     def test_bundled_configs_load(self):
         a = load_config("experiment_a")
         assert a.target == "Y"
@@ -167,6 +183,15 @@ class TestConfigHash:
         c1 = make_config(tmp_path, seed=1)
         c2 = make_config(tmp_path, seed=2)
         assert config_hash(c1) != config_hash(c2)
+
+    def test_bundled_hashes_pinned(self):
+        # plain JSON of the config: pins the writer's key layout, not numerics
+        assert config_hash(load_config("experiment_a")) == (
+            "f203b50a7384aaa42f7138ac6c15e32787d1db12400ee99d43a9fb591dee248f"
+        )
+        assert config_hash(load_config("experiment_b")) == (
+            "6f500437167d451080f318645f3e9e9bac5f548647be750e1fa39e8909ddf7a0"
+        )
 
 
 class TestValidateConfig:
@@ -458,10 +483,44 @@ class TestMainVerbs:
         assert not (tmp_path / "out" / "results.csv").exists()
         assert main(["run", str(path), "--form", "difference"]) == 0
 
-    def test_bad_replications_override(self, tmp_path):
+    @pytest.mark.parametrize(
+        "key, flag, value",
+        [
+            ("replications", "--replications", 0),
+            ("seed", "--seed", -1),
+            ("sampler.kind", "--sampler", "bootstrap"),
+            ("form", "--form", "log"),
+        ],
+        ids=["replications", "seed", "sampler", "form"],
+    )
+    def test_bad_run_override(self, tmp_path, capsys, key, flag, value):
+        # a bad flag fails like the same value in the file
         path = tmp_path / "c.yaml"
         path.write_text(yaml.safe_dump(base_mapping(tmp_path)))
-        assert main(["run", str(path), "--replications", "0"]) == 2
+        assert main(["run", str(path), flag, str(value)]) == 2
+        from_flag = capsys.readouterr().err
+        assert from_flag.startswith(f"config error: {key}: must be")
+        mapping = base_mapping(tmp_path)
+        section, _, field = key.rpartition(".")
+        (mapping.setdefault(section, {}) if section else mapping)[field] = value
+        path.write_text(yaml.safe_dump(mapping))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == from_flag
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out.startswith(f"{key}: must be")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["simulate", "fit"])
+    def test_negative_seed_is_exit_two(self, tmp_path, verb):
+        csv_path = str(tmp_path / "d.csv")
+        argv = {
+            "simulate": ["simulate", "experiment_b", "--n", "50", "--out", csv_path],
+            "fit": ["fit", csv_path, "--target", "Y"],
+        }[verb]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-1"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "d.csv").exists()
 
     def test_simulate_round_trip(self, tmp_path):
         out = tmp_path / "sim.csv"

@@ -169,6 +169,26 @@ class TestComputeRfi:
             compute_rfi(model, LOSS, d, "X4", (), s, replications=2)
 
 
+class TestRatioOnPerfectFit:
+    def test_ratio_refused_on_negligible_baseline(self):
+        # Y = a + 2b + 0.5 exactly: OLS leaves a baseline of rounding noise
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=200), rng.normal(size=200)
+        values = np.column_stack([a, b, a + 2 * b + 0.5])
+        mask = np.zeros(200, dtype=bool)
+        mask[::10] = True
+        d = Dataset(("a", "b", "Y"), values, "Y", mask)
+        m = fit_from_dataset(d)
+        single = compute_rfi(m, LOSS, d, "a", (), fit_sampler(d, "a", ()), replications=3)
+        profile = rfi_profile(m, LOSS, d, ["a"], [(), ("a",)], sampler_factory(d), 3)
+        for est in (single,) + profile:
+            assert est.baseline_risk <= est.ratio_floor
+            assert math.isfinite(est.point)
+            for read in (lambda: est.ratio, lambda: est.ratio_se, lambda: est.value(RATIO)):
+                with pytest.raises(ValueError, match="ratio form is undefined"):
+                    read()
+
+
 class TestEstimateRecord:
     def _make(self, perturbed, baseline=1.0):
         return RfiEstimate("f", (), baseline, perturbed, np.zeros(3), 0)
