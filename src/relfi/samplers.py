@@ -2,8 +2,14 @@
 
 The importance engine needs draws of a feature from its conditional law
 given the conditioning set G. Every sampler is built on a Gaussian joint
-fitted to the training rows of the feature and G, and applied to test
-rows. Two kinds are provided:
+of the feature and G fitted to the training rows, and applied to test
+rows. For a nonempty G that joint is a block of one training joint over
+all non-target columns, fitted once per dataset and shared by every
+cell; a cell with an empty G fits its feature's own column. On a joint
+wider than about 5 columns a block can differ from a fit of the subset
+alone in the last bits (at most 1e-12 relative per parameter, measured
+on a 13-variable graph).
+Two kinds are provided:
 
 - direct conditional-Gaussian sampling (the default): exact under the
   Gaussian fit, and a function of the values of G and the noise alone,
@@ -30,6 +36,8 @@ one noise block per run and share it between cells.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,16 +132,25 @@ def fit_gaussian(rows: np.ndarray, names, ridge: float | None = None) -> Gaussia
     names = tuple(str(n) for n in names)
     if rows.ndim != 2 or rows.shape[1] != len(names):
         raise SchemaError("rows must be a matrix with one column per name")
+    mean, cov, _, _ = _moments(rows)
+    return _ridged_joint(names, mean, cov, ridge)
+
+
+def _moments(rows: np.ndarray) -> tuple:
+    """Mean, unridged covariance (denominator n - 1), min and max of the columns."""
     if rows.shape[0] < 2:
         raise CovarianceError("need at least 2 rows to fit a covariance")
+    cov = np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))
+    return rows.mean(axis=0), cov, rows.min(axis=0), rows.max(axis=0)
+
+
+def _ridged_joint(names, mean, cov, ridge: float | None) -> GaussianJoint:
+    """The joint with ``ridge`` added to the diagonal of ``cov``; None: ``default_ridge``."""
     if ridge is not None and ridge < 0:
         raise ValueError("ridge must be >= 0")
-    mean = rows.mean(axis=0)
-    cov = np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))
     if ridge is None:
         ridge = default_ridge(cov)
-    cov = cov + ridge * np.eye(len(names))
-    return GaussianJoint(names, mean, cov, float(ridge))
+    return GaussianJoint(names, mean, cov + ridge * np.eye(len(names)), float(ridge))
 
 
 def conditional_gaussian_params(
@@ -266,6 +283,23 @@ def knockoff_sampler(joint: GaussianJoint) -> KnockoffSampler:
 SAMPLER_KINDS = ("gaussian", "knockoff")
 
 
+# One training joint per dataset. It is derived from the dataset's frozen,
+# read-only arrays, so it cannot go stale, and it is keyed weakly, so it
+# dies with the dataset.
+_MOMENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_MOMENTS_LOCK = threading.Lock()
+
+
+def _training_moments(data: Dataset) -> tuple:
+    """(names, mean, unridged covariance, min, max) of the non-target columns
+    on the training rows, computed on the first call for ``data``."""
+    with _MOMENTS_LOCK:
+        if data not in _MOMENTS:
+            names = tuple(n for n in data.variable_names if n != data.target_name)
+            _MOMENTS[data] = (names, *_moments(data.matrix(names, TRAIN)))
+        return _MOMENTS[data]
+
+
 def fit_sampler(
     data: Dataset,
     feature: str,
@@ -277,7 +311,9 @@ def fit_sampler(
 
     The joint is fit over the feature plus the conditioning set, which may
     include variables outside the model's feature list. A feature that is
-    constant in training data yields a point-mass sampler.
+    constant in training data yields a point-mass sampler. For a nonempty
+    conditioning set the joint is a block of the dataset's shared training
+    joint (see the module docstring).
     """
     if kind not in SAMPLER_KINDS:
         raise ValueError(
@@ -290,11 +326,19 @@ def fit_sampler(
         )
     check_partition(data.target_name, feature, conditioning)
     names = (feature,) + conditioning
-    rows = data.matrix(names, TRAIN)
-    xj = rows[:, 0]
-    if np.ptp(xj) == 0.0:
-        return PointMassSampler(feature, conditioning, np.empty(0), float(xj[0]), 0.0, ())
-    joint = fit_gaussian(rows, names, ridge)
+    if conditioning:
+        for name in names:
+            data.column_index(name)  # raises SchemaError when absent
+        columns, *moments = _training_moments(data)
+        idx = [columns.index(name) for name in names]
+    else:
+        # one contiguous column is summed pairwise, so a block of the
+        # shared joint would not reproduce this fit's bits
+        moments, idx = _moments(data.matrix(names, TRAIN)), [0]
+    mean, cov, low, high = moments
+    if low[idx[0]] == high[idx[0]]:
+        return PointMassSampler(feature, conditioning, np.empty(0), float(low[idx[0]]), 0.0, ())
+    joint = _ridged_joint(names, mean[idx], cov[np.ix_(idx, idx)], ridge)
     if kind == "knockoff":
         return knockoff_sampler(joint)
     slope, intercept, variance = conditional_gaussian_params(joint, feature, conditioning)

@@ -517,10 +517,42 @@ class TestMainVerbs:
             "simulate": ["simulate", "experiment_b", "--n", "50", "--out", csv_path],
             "fit": ["fit", csv_path, "--target", "Y"],
         }[verb]
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--seed", "-1"])
-        assert exc.value.code == 2
+        assert main(argv + ["--seed", "-1"]) == 2
         assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize(
+        "verb, flag, key, value",
+        [
+            ("simulate", "--n", "data.n", 0),
+            ("simulate", "--test-fraction", "test_fraction", 1.5),
+            ("fit", "--test-fraction", "test_fraction", 1.5),
+        ],
+    )
+    def test_bad_flag_fails_like_config_key(self, tmp_path, capsys, verb, flag, key, value):
+        csv_path = str(tmp_path / "d.csv")
+        argv = {
+            "simulate": ["simulate", "experiment_b", "--n", "50", "--out", csv_path],
+            "fit": ["fit", csv_path, "--target", "Y"],
+        }[verb]
+        assert main(argv + [flag, str(value)]) == 2
+        from_flag = capsys.readouterr().err
+        assert from_flag.startswith(f"config error: {key}: must be")
+        assert not (tmp_path / "d.csv").exists()
+        mapping = base_mapping(tmp_path)
+        section, _, field = key.rpartition(".")
+        (mapping.setdefault(section, {}) if section else mapping)[field] = value
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == from_flag
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--help"], 0), (["simulate", "experiment_b", "--n", "abc", "--out", "t.csv"], 2), ([], 2)],
+        ids=["help", "bad-int", "no-verb"],
+    )
+    def test_argparse_exit_is_returned(self, argv, code, capsys):
+        assert main(argv) == code
 
     def test_simulate_round_trip(self, tmp_path):
         out = tmp_path / "sim.csv"

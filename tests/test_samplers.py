@@ -1,6 +1,14 @@
+import dataclasses
+import itertools
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from relfi import samplers
+from relfi.cli import load_config, run_experiment
 from relfi.core import TEST, TRAIN, Dataset, SchemaError
 from relfi.samplers import (
     CovarianceError,
@@ -18,7 +26,14 @@ from relfi.samplers import (
     sample_replacement,
     sampler_factory,
 )
-from relfi.scm import analytic_covariance, builtin_experiment_a, builtin_experiment_b, sample_scm
+from relfi.scm import (
+    Edge,
+    ScmGraph,
+    analytic_covariance,
+    builtin_experiment_a,
+    builtin_experiment_b,
+    sample_scm,
+)
 
 
 @pytest.fixture(scope="module")
@@ -341,3 +356,121 @@ class TestFitSampler:
     def test_unknown_column_surfaces(self, data_a):
         with pytest.raises(SchemaError):
             fit_sampler(data_a, "X9", ())
+
+
+def _subset_fit(data, feature, conditioning, kind):
+    """(slope, intercept, scale) of a sampler fitted on the subset's own rows."""
+    names = (feature,) + conditioning
+    joint = fit_gaussian(data.matrix(names, TRAIN), names)
+    if kind == "knockoff":
+        s = knockoff_sampler(joint)
+        return s.slope, s.intercept, s.scale
+    slope, intercept, variance = conditional_gaussian_params(joint, feature, conditioning)
+    return slope, intercept, float(np.sqrt(variance))
+
+
+def _random_scm(rng) -> ScmGraph:
+    """Twelve features in a random DAG, and Y: 13 variables."""
+    nodes = tuple(f"V{i}" for i in range(12)) + ("Y",)
+    edges = []
+    for i, child in enumerate(nodes[:-1]):
+        for parent in nodes[:i]:
+            if rng.random() < 0.3:
+                edges.append(Edge(parent, child, float(rng.uniform(-0.9, 0.9))))
+        if rng.random() < 0.6:
+            edges.append(Edge(child, "Y", float(rng.uniform(-1.5, 1.5))))
+    return ScmGraph(nodes, tuple(rng.uniform(0.5, 1.0, len(nodes)).tolist()), tuple(edges))
+
+
+class TestSharedJoint:
+    """Samplers with a nonempty G are blocks of one training joint per dataset."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "knockoff"])
+    @pytest.mark.parametrize("name", ["data_a", "data_b"])
+    def test_bundled_graphs_match_subset_fit_bit_for_bit(self, request, name, kind):
+        data = request.getfixturevalue(name)
+        variables = [v for v in data.variable_names if v != data.target_name]
+        for feature in variables:
+            others = [v for v in variables if v != feature]
+            for size in range(1, len(others) + 1):
+                for cond in itertools.combinations(others, size):
+                    s = fit_sampler(data, feature, cond, kind=kind)
+                    slope, intercept, scale = _subset_fit(data, feature, cond, kind)
+                    assert s.slope.tobytes() == slope.tobytes(), (feature, cond)
+                    assert (s.intercept, s.scale) == (intercept, scale), (feature, cond)
+
+    def test_wide_joint_matches_subset_fit_closely(self):
+        rng = np.random.default_rng(2024)
+        data = sample_scm(_random_scm(rng), 20_000, seed=5)
+        variables = data.variable_names[:-1]
+        for _ in range(300):
+            feature = str(rng.choice(variables))
+            others = [v for v in variables if v != feature]
+            cond = tuple(sorted(rng.choice(others, rng.integers(1, len(others) + 1), replace=False)))
+            for kind in ("gaussian", "knockoff"):
+                s = fit_sampler(data, feature, cond, kind=kind)
+                slope, intercept, scale = _subset_fit(data, feature, cond, kind)
+                np.testing.assert_allclose(s.slope, slope, rtol=1e-10, atol=0)
+                np.testing.assert_allclose([s.intercept, s.scale], [intercept, scale], rtol=1e-10, atol=0)
+
+    def test_fitted_once_per_dataset_across_workers(self, tmp_path, monkeypatch):
+        calls = []
+
+        class Counting(weakref.WeakKeyDictionary):
+            def __setitem__(self, data, moments):
+                calls.append(data)
+                super().__setitem__(data, moments)
+
+        monkeypatch.setattr(samplers, "_MOMENTS", Counting())
+        config = dataclasses.replace(
+            load_config("experiment_a"), data_n=5_000, replications=2, output=str(tmp_path)
+        )
+        run_experiment(config, workers=2)
+        assert len(calls) == 1
+
+    def test_concurrent_fits_share_one_joint(self, monkeypatch):
+        calls = []
+
+        class Counting(weakref.WeakKeyDictionary):
+            def __setitem__(self, data, moments):
+                calls.append(data)
+                super().__setitem__(data, moments)
+
+        monkeypatch.setattr(samplers, "_MOMENTS", Counting())
+        data = sample_scm(builtin_experiment_a(), 20_000, seed=3)
+        cells = [(f, (g,)) for f in ("X1", "X2", "X3", "X4") for g in ("X1", "X2", "X3", "X4") if f != g]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(fit_sampler, data, f, g) for f, g in cells * 4]
+                fitted = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == [data]
+        for s, (f, g) in zip(fitted, cells * 4):
+            reference = fit_sampler(data, f, g)
+            assert (s.slope.tobytes(), s.intercept, s.scale) == (
+                reference.slope.tobytes(), reference.intercept, reference.scale
+            )
+
+    @pytest.mark.parametrize("kind", ["gaussian", "knockoff"])
+    def test_constant_feature_is_point_mass(self, kind):
+        x = np.linspace(0.0, 1.0, 20)
+        values = np.column_stack([np.full(20, -3.5), x, x**2, x + 1.0])
+        data = Dataset(("a", "b", "c", "Y"), values, "Y", np.arange(20) >= 16)
+        s = fit_sampler(data, "a", ("b", "c"), kind=kind)
+        assert isinstance(s, PointMassSampler)
+        assert (s.intercept, s.scale, s.required_columns) == (-3.5, 0.0, ())
+
+    def test_constant_conditioning_column_fits_through_ridge(self):
+        x = np.random.default_rng(0).normal(size=40)
+        values = np.column_stack([x, np.full(40, 2.0), -x])
+        data = Dataset(("a", "b", "Y"), values, "Y", np.arange(40) >= 30)
+        s = fit_sampler(data, "a", ("b",))
+        assert isinstance(s, GaussianConditionalSampler)
+        slope, intercept, scale = _subset_fit(data, "a", ("b",), "gaussian")
+        assert (s.slope.tobytes(), s.intercept, s.scale) == (slope.tobytes(), intercept, scale)
+        assert s.slope[0] == 0.0
+        with pytest.raises(CovarianceError, match="positive definite"):
+            fit_sampler(data, "a", ("b",), ridge=0.0)
