@@ -47,8 +47,7 @@ from .core import (
 )
 from .inference import DEFAULT_ALPHA, TEST_KINDS, get_test
 from .models import FitError, LinearModel, fit_from_dataset, load_model, save_model
-# fit_sampler stays bound here: the benchmark checks that its tracer wraps relfi.cli.fit_sampler
-from .samplers import SAMPLER_KINDS, CovarianceError, KnockoffError, fit_sampler, sampler_factory  # noqa: F401
+from .samplers import SAMPLER_KINDS, CovarianceError, KnockoffError, fit_sampler, shared_moments
 from .scm import BUILTIN_GRAPHS, GraphError, ScmGraph, builtin_graph, load_graph, sample_scm
 
 BUNDLED_CONFIGS = ("experiment_a", "experiment_b")
@@ -475,10 +474,14 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     if config.form == engine.RATIO:
         engine.check_ratio_baseline(context.baseline_risk, context.ratio_floor)
 
-    factory = sampler_factory(data, config.sampler_kind, config.ridge)
+    moments = shared_moments(data, cells)
+
+    def fit(feature: str, conditioning: tuple[str, ...]):
+        return fit_sampler(data, feature, conditioning, kind=config.sampler_kind,
+                           ridge=config.ridge, moments=moments)
 
     def evaluate(cell: tuple[str, tuple[str, ...]]):
-        estimate = engine._score_cell(context, *cell, factory)
+        estimate = engine.score_cell(context, *cell, fit)
         return estimate, test(estimate.first_differences, alpha=config.alpha)
 
     results: list[tuple] = []

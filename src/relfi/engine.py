@@ -324,7 +324,7 @@ def compute_delta_rfi(
     union = _canonical_names(conditioning + extension)
     context = EvaluationContext(model, loss, data, replications, base_seed)
     base, extended = (
-        _score_cell(context, feature, cond, sampler_factory) for cond in (conditioning, union)
+        score_cell(context, feature, cond, sampler_factory) for cond in (conditioning, union)
     )
     return DeltaRfi(feature, conditioning, extension, base, extended)
 
@@ -346,15 +346,16 @@ def rfi_profile(
     """
     context = EvaluationContext(model, loss, data, replications, base_seed)
     return tuple(
-        _score_cell(context, feature, cond, sampler_factory)
+        score_cell(context, feature, cond, sampler_factory)
         for feature, cond in product(features, conditioning_sets)
     )
 
 
-def _score_cell(
+def score_cell(
     context: EvaluationContext, feature: str, conditioning, sampler_factory: SamplerFactory
 ) -> RfiEstimate:
-    """One cell on a shared context; the factory is not called for an identity cell."""
+    """Importance of one cell on a shared context: the sampler comes from
+    ``sampler_factory``, which is not called for a feature inside G."""
     conditioning = _canonical_names(conditioning)
     sampler = None if feature in conditioning else sampler_factory(feature, conditioning)
     return compute_rfi(

@@ -3,12 +3,13 @@
 The importance engine needs draws of a feature from its conditional law
 given the conditioning set G. Every sampler is built on a Gaussian joint
 of the feature and G fitted to the training rows, and applied to test
-rows. For a nonempty G that joint is a block of one training joint over
-all non-target columns, fitted once per dataset and shared by every
-cell; a cell with an empty G fits its feature's own column. On a joint
-wider than about 5 columns a block can differ from a fit of the subset
-alone in the last bits (at most 1e-12 relative per parameter, measured
-on a 13-variable graph).
+rows. Where it costs less, the cells of one run (``relfi run``) with a
+nonempty G read their joints as blocks of one training joint over the
+columns those cells name (``shared_moments``), fitted once before any
+cell runs; a cell with an empty G always fits its feature's own column.
+On a joint wider than about 5 columns a block can differ from a fit of
+the subset alone in the last bits (at most 1.0e-12 relative per
+parameter over 600 sets on a 13-variable graph).
 Two kinds are provided:
 
 - direct conditional-Gaussian sampling (the default): exact under the
@@ -36,8 +37,6 @@ one noise block per run and share it between cells.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,16 +131,10 @@ def fit_gaussian(rows: np.ndarray, names, ridge: float | None = None) -> Gaussia
     names = tuple(str(n) for n in names)
     if rows.ndim != 2 or rows.shape[1] != len(names):
         raise SchemaError("rows must be a matrix with one column per name")
-    mean, cov, _, _ = _moments(rows)
-    return _ridged_joint(names, mean, cov, ridge)
-
-
-def _moments(rows: np.ndarray) -> tuple:
-    """Mean, unridged covariance (denominator n - 1), min and max of the columns."""
     if rows.shape[0] < 2:
         raise CovarianceError("need at least 2 rows to fit a covariance")
     cov = np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))
-    return rows.mean(axis=0), cov, rows.min(axis=0), rows.max(axis=0)
+    return _ridged_joint(names, rows.mean(axis=0), cov, ridge)
 
 
 def _ridged_joint(names, mean, cov, ridge: float | None) -> GaussianJoint:
@@ -283,21 +276,35 @@ def knockoff_sampler(joint: GaussianJoint) -> KnockoffSampler:
 SAMPLER_KINDS = ("gaussian", "knockoff")
 
 
-# One training joint per dataset. It is derived from the dataset's frozen,
-# read-only arrays, so it cannot go stale, and it is keyed weakly, so it
-# dies with the dataset.
-_MOMENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_MOMENTS_LOCK = threading.Lock()
+def training_moments(data: Dataset, names, features) -> tuple:
+    """(names, mean, unridged covariance, {feature: (min, max)}) of the named
+    columns on the training rows, with the bounds of the names in ``features``.
+    The covariance repeats ``np.cov`` step for step (same bits) but centres
+    the gathered block in place; below 2 rows it is None."""
+    names = tuple(names)
+    x = data.matrix(names, TRAIN).T  # np.cov's layout: one row per variable
+    bounds = {name: (row.min(), row.max()) for name, row in zip(names, x) if name in features}
+    mean, cov = x.mean(axis=1), None
+    if x.shape[1] > 1:
+        x -= mean[:, None]
+        cov = np.dot(x, x.T)
+        cov *= np.true_divide(1, x.shape[1] - 1)
+    return names, mean, cov, bounds
 
 
-def _training_moments(data: Dataset) -> tuple:
-    """(names, mean, unridged covariance, min, max) of the non-target columns
-    on the training rows, computed on the first call for ``data``."""
-    with _MOMENTS_LOCK:
-        if data not in _MOMENTS:
-            names = tuple(n for n in data.variable_names if n != data.target_name)
-            _MOMENTS[data] = (names, *_moments(data.matrix(names, TRAIN)))
-        return _MOMENTS[data]
+def shared_moments(data: Dataset, cells):
+    """The ``training_moments`` over the columns of the (feature, G) cells that
+    fit a conditional (nonempty G without the feature), or None unless it is
+    at most twice as wide as the widest such cell and its squared width is at
+    most the sum of theirs: its gather and covariance then cost no more than
+    the cells' own fits, and its block no more memory than two of theirs."""
+    conditional = [(feature, g) for feature, g in cells if g and feature not in g]
+    named = {name for feature, g in conditional for name in (feature, *g)}
+    columns = [n for n in data.variable_names if n in named and n != data.target_name]
+    widths, k = [1 + len(set(g)) for _, g in conditional], len(columns)
+    if not widths or k > 2 * max(widths) or k * k > sum(w * w for w in widths):
+        return None
+    return training_moments(data, columns, {feature for feature, _ in conditional})
 
 
 def fit_sampler(
@@ -306,14 +313,16 @@ def fit_sampler(
     conditioning,
     kind: str = "gaussian",
     ridge: float | None = None,
+    *,
+    moments: tuple | None = None,
 ) -> _AffineSampler:
     """Fit a replacement sampler on the training rows.
 
     The joint is fit over the feature plus the conditioning set, which may
     include variables outside the model's feature list. A feature that is
-    constant in training data yields a point-mass sampler. For a nonempty
-    conditioning set the joint is a block of the dataset's shared training
-    joint (see the module docstring).
+    constant in training data yields a point-mass sampler. ``moments``, a
+    ``training_moments`` of ``data``, supplies the joint as its block when
+    the conditioning set is nonempty and it covers the feature and the set.
     """
     if kind not in SAMPLER_KINDS:
         raise ValueError(
@@ -326,18 +335,14 @@ def fit_sampler(
         )
     check_partition(data.target_name, feature, conditioning)
     names = (feature,) + conditioning
-    if conditioning:
-        for name in names:
-            data.column_index(name)  # raises SchemaError when absent
-        columns, *moments = _training_moments(data)
-        idx = [columns.index(name) for name in names]
-    else:
-        # one contiguous column is summed pairwise, so a block of the
-        # shared joint would not reproduce this fit's bits
-        moments, idx = _moments(data.matrix(names, TRAIN)), [0]
-    mean, cov, low, high = moments
-    if low[idx[0]] == high[idx[0]]:
-        return PointMassSampler(feature, conditioning, np.empty(0), float(low[idx[0]]), 0.0, ())
+    # an empty G keeps its own column: one contiguous column is summed
+    # pairwise, so a block of a wider joint would not reproduce its bits
+    if not (conditioning and moments and feature in moments[3] and set(names) <= set(moments[0])):
+        moments = training_moments(data, names, (feature,))
+    columns, mean, cov, bounds = moments
+    idx, (low, high) = [columns.index(name) for name in names], bounds[feature]
+    if low == high:
+        return PointMassSampler(feature, conditioning, np.empty(0), float(low), 0.0, ())
     joint = _ridged_joint(names, mean[idx], cov[np.ix_(idx, idx)], ridge)
     if kind == "knockoff":
         return knockoff_sampler(joint)

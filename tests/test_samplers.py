@@ -1,8 +1,5 @@
 import dataclasses
 import itertools
-import sys
-import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,6 +22,8 @@ from relfi.samplers import (
     knockoff_sampler,
     sample_replacement,
     sampler_factory,
+    shared_moments,
+    training_moments,
 )
 from relfi.scm import (
     Edge,
@@ -383,18 +382,19 @@ def _random_scm(rng) -> ScmGraph:
 
 
 class TestSharedJoint:
-    """Samplers with a nonempty G are blocks of one training joint per dataset."""
+    """A run's samplers with a nonempty G can be blocks of one training joint."""
 
     @pytest.mark.parametrize("kind", ["gaussian", "knockoff"])
     @pytest.mark.parametrize("name", ["data_a", "data_b"])
     def test_bundled_graphs_match_subset_fit_bit_for_bit(self, request, name, kind):
         data = request.getfixturevalue(name)
         variables = [v for v in data.variable_names if v != data.target_name]
+        moments = training_moments(data, variables, variables)
         for feature in variables:
             others = [v for v in variables if v != feature]
             for size in range(1, len(others) + 1):
                 for cond in itertools.combinations(others, size):
-                    s = fit_sampler(data, feature, cond, kind=kind)
+                    s = fit_sampler(data, feature, cond, kind=kind, moments=moments)
                     slope, intercept, scale = _subset_fit(data, feature, cond, kind)
                     assert s.slope.tobytes() == slope.tobytes(), (feature, cond)
                     assert (s.intercept, s.scale) == (intercept, scale), (feature, cond)
@@ -403,74 +403,95 @@ class TestSharedJoint:
         rng = np.random.default_rng(2024)
         data = sample_scm(_random_scm(rng), 20_000, seed=5)
         variables = data.variable_names[:-1]
+        moments = training_moments(data, variables, variables)
         for _ in range(300):
             feature = str(rng.choice(variables))
             others = [v for v in variables if v != feature]
-            cond = tuple(sorted(rng.choice(others, rng.integers(1, len(others) + 1), replace=False)))
+            size = rng.integers(1, len(others) + 1)
+            cond = tuple(sorted(rng.choice(others, size, replace=False)))
             for kind in ("gaussian", "knockoff"):
-                s = fit_sampler(data, feature, cond, kind=kind)
+                s = fit_sampler(data, feature, cond, kind=kind, moments=moments)
                 slope, intercept, scale = _subset_fit(data, feature, cond, kind)
                 np.testing.assert_allclose(s.slope, slope, rtol=1e-10, atol=0)
-                np.testing.assert_allclose([s.intercept, s.scale], [intercept, scale], rtol=1e-10, atol=0)
+                np.testing.assert_allclose(
+                    [s.intercept, s.scale], [intercept, scale], rtol=1e-10, atol=0
+                )
 
-    def test_fitted_once_per_dataset_across_workers(self, tmp_path, monkeypatch):
+    def test_moments_repeat_numpy_cov(self):
+        rng = np.random.default_rng(8)
+        for n, k in [(2, 1), (3, 4), (1_001, 1), (20_003, 6)]:
+            names = tuple(f"V{i}" for i in range(k)) + ("Y",)
+            values = rng.normal(rng.uniform(-5, 5, k + 1), rng.uniform(0.1, 10, k + 1), (n, k + 1))
+            data = Dataset(names, values, "Y", np.zeros(n, dtype=bool))
+            rows = data.matrix(names[:-1], TRAIN)
+            got, mean, cov, bounds = training_moments(data, names[:-1], ("V0", "Y"))
+            assert got == names[:-1]
+            assert mean.tobytes() == rows.mean(axis=0).tobytes()
+            assert cov.tobytes() == np.atleast_2d(np.cov(rows, rowvar=False)).tobytes()
+            assert bounds == {"V0": (rows[:, 0].min(), rows[:, 0].max())}
+
+    def test_run_fits_one_joint_across_workers(self, tmp_path, monkeypatch):
         calls = []
 
-        class Counting(weakref.WeakKeyDictionary):
-            def __setitem__(self, data, moments):
-                calls.append(data)
-                super().__setitem__(data, moments)
+        def counting(data, names, features):
+            calls.append(tuple(names))
+            return training_moments(data, names, features)
 
-        monkeypatch.setattr(samplers, "_MOMENTS", Counting())
+        monkeypatch.setattr(samplers, "training_moments", counting)
         config = dataclasses.replace(
             load_config("experiment_a"), data_n=5_000, replications=2, output=str(tmp_path)
         )
         run_experiment(config, workers=2)
-        assert len(calls) == 1
+        # one shared joint; each of the four marginal cells fits its own column
+        assert [c for c in calls if len(c) > 1] == [("X1", "X2", "X3", "X4")]
+        assert sorted(c for c in calls if len(c) == 1) == [("X1",), ("X2",), ("X3",), ("X4",)]
 
-    def test_concurrent_fits_share_one_joint(self, monkeypatch):
-        calls = []
-
-        class Counting(weakref.WeakKeyDictionary):
-            def __setitem__(self, data, moments):
-                calls.append(data)
-                super().__setitem__(data, moments)
-
-        monkeypatch.setattr(samplers, "_MOMENTS", Counting())
-        data = sample_scm(builtin_experiment_a(), 20_000, seed=3)
-        cells = [(f, (g,)) for f in ("X1", "X2", "X3", "X4") for g in ("X1", "X2", "X3", "X4") if f != g]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(fit_sampler, data, f, g) for f, g in cells * 4]
-                fitted = [future.result(timeout=60) for future in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert calls == [data]
-        for s, (f, g) in zip(fitted, cells * 4):
-            reference = fit_sampler(data, f, g)
-            assert (s.slope.tobytes(), s.intercept, s.scale) == (
-                reference.slope.tobytes(), reference.intercept, reference.scale
-            )
+    def test_joint_spans_only_the_cells_columns_and_only_when_cheaper(self):
+        names = tuple(f"V{i}" for i in range(30)) + ("Y",)
+        values = np.random.default_rng(1).normal(size=(50, 31))
+        data = Dataset(names, values, "Y", np.arange(50) >= 40)
+        narrow = [("V0", ("V1", "V2")), ("V3", ("V0", "V1")), ("V2", ("V0", "V1", "V3"))]
+        names, _, _, bounds = shared_moments(data, narrow)
+        assert names == ("V0", "V1", "V2", "V3") and set(bounds) == {"V0", "V2", "V3"}
+        assert shared_moments(data, narrow + [("V5", ()), ("V5", ("V5",))])[0] == names
+        # a joint of five columns costs more than fits of three and two
+        assert shared_moments(data, [("V0", ("V1", "V2")), ("V3", ("V4",))]) is None
+        # repeated cells add up squared widths, but 24 columns are twelve cells wide
+        scattered = [(f"V{i}", (f"V{i + 1}",)) for i in range(0, 24, 2)]
+        assert shared_moments(data, scattered * 20) is None
+        assert shared_moments(data, [("V0", ()), ("V1", ("V1", "V2"))]) is None
 
     @pytest.mark.parametrize("kind", ["gaussian", "knockoff"])
     def test_constant_feature_is_point_mass(self, kind):
         x = np.linspace(0.0, 1.0, 20)
         values = np.column_stack([np.full(20, -3.5), x, x**2, x + 1.0])
         data = Dataset(("a", "b", "c", "Y"), values, "Y", np.arange(20) >= 16)
-        s = fit_sampler(data, "a", ("b", "c"), kind=kind)
-        assert isinstance(s, PointMassSampler)
-        assert (s.intercept, s.scale, s.required_columns) == (-3.5, 0.0, ())
+        # without the feature's bounds the moments are not used
+        columns = ("a", "b", "c")
+        with_a, without_a = (training_moments(data, columns, f) for f in (("a",), ("b",)))
+        for moments in (None, with_a, without_a):
+            s = fit_sampler(data, "a", ("b", "c"), kind=kind, moments=moments)
+            assert isinstance(s, PointMassSampler)
+            assert (s.intercept, s.scale, s.required_columns) == (-3.5, 0.0, ())
 
     def test_constant_conditioning_column_fits_through_ridge(self):
         x = np.random.default_rng(0).normal(size=40)
         values = np.column_stack([x, np.full(40, 2.0), -x])
         data = Dataset(("a", "b", "Y"), values, "Y", np.arange(40) >= 30)
-        s = fit_sampler(data, "a", ("b",))
-        assert isinstance(s, GaussianConditionalSampler)
         slope, intercept, scale = _subset_fit(data, "a", ("b",), "gaussian")
-        assert (s.slope.tobytes(), s.intercept, s.scale) == (slope.tobytes(), intercept, scale)
-        assert s.slope[0] == 0.0
-        with pytest.raises(CovarianceError, match="positive definite"):
-            fit_sampler(data, "a", ("b",), ridge=0.0)
+        for moments in (None, training_moments(data, ("a", "b"), ("a",))):
+            s = fit_sampler(data, "a", ("b",), moments=moments)
+            assert isinstance(s, GaussianConditionalSampler)
+            assert (s.slope.tobytes(), s.intercept, s.scale) == (slope.tobytes(), intercept, scale)
+            assert s.slope[0] == 0.0
+            with pytest.raises(CovarianceError, match="positive definite"):
+                fit_sampler(data, "a", ("b",), ridge=0.0, moments=moments)
+
+    @pytest.mark.parametrize("conditioning", [(), ("b",)])
+    def test_one_training_row_is_point_mass(self, conditioning):
+        values = np.array([[1.5, 2.0, 0.0], [4.0, 5.0, 1.0], [6.0, 7.0, 2.0]])
+        data = Dataset(("a", "b", "Y"), values, "Y", np.array([False, True, True]))
+        for moments in (None, training_moments(data, ("a", "b"), ("a",))):
+            s = fit_sampler(data, "a", conditioning, moments=moments)
+            assert isinstance(s, PointMassSampler)
+            assert (s.intercept, s.scale) == (1.5, 0.0)
