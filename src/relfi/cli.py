@@ -7,9 +7,13 @@ jobs to evaluate. Running it produces a results CSV in the engine's
 schema, a grouped bar chart as a standalone SVG, and a small manifest.
 Outputs are byte-identical across reruns with the same config and seed.
 
-Command line verbs: ``run``, ``validate``, ``simulate``, ``fit``. Exit
-codes: 0 on success, 2 for config or input-file problems, 3 for runtime
-or numeric failures.
+Command line verbs: ``run``, ``validate``, ``simulate``, ``fit``. Every
+verb reads all of its inputs (config, data file or graph, model file)
+before it writes anything; ``run`` and ``validate`` share one input stage,
+``read_inputs``, so ``validate`` reports exactly what would stop ``run``.
+Exit codes: 0 on success, 2 for a problem with any input, 3 for a failure
+while fitting or scoring (a rank-deficient fit, a singular covariance, no
+test rows, the ratio form on a perfect fit).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from importlib import resources
 from typing import Callable, NamedTuple
 
 import yaml
-from scipy import stats
+from scipy.special import stdtrit
 
 from . import engine
 from .core import (
@@ -39,6 +43,7 @@ from .core import (
     Dataset,
     InvalidPartitionError,
     SchemaError,
+    canonical_names,
     check_partition,
     empirical_risk,
     get_loss,
@@ -345,86 +350,75 @@ def _csv_header(path: str) -> list[str]:
     return [h.strip() for h in row]
 
 
-def validate_config(ref: str) -> list[str]:
-    """All schema violations in the config, without running anything.
+def _read(key: str, read: Callable, *args):
+    """``read(*args)``, with any failure to read the input as a ConfigError on ``key``."""
+    try:
+        return read(*args)
+    except FileNotFoundError:
+        raise ConfigError(f"{key}: no file {args[0]!r}") from None
+    except (OSError, ValueError, TypeError, _csv.Error) as exc:  # GraphError, SchemaError too
+        raise ConfigError(f"{key}: {exc}") from None
 
-    Where the data source is resolvable the variable names referenced by
-    jobs, features and target are checked against it as well.
+
+def read_inputs(config: ExperimentConfig) -> tuple[Dataset, LinearModel | None]:
+    """The config's dataset and its model file (None for 'ols').
+
+    The data source's names (the graph's nodes, or the CSV header without
+    the split column) are read first, and every target, feature and job
+    name is checked against them in one batch with the model file. Then
+    every data row is read, or the graph simulated. Any problem is a
+    ConfigError, so a run past this stage fails only in fitting or scoring.
     """
+    problems: list[str] = []
+    graph = names = model = None
+    try:
+        if config.data_graph is not None:
+            graph = _read("data.graph", _resolve_graph, config.data_graph)
+            names = graph.nodes
+        else:
+            names = _read("data.csv", _csv_header, config.data_csv)
+            split = config.split_column
+            if split is not None and split not in names:
+                problems.append(f"data.split_column: no column {split!r}")
+            names = [n for n in names if n != split]
+    except ConfigError as exc:
+        problems.append(str(exc))
+    if names is not None:
+        used = [("target", config.target)] + [("features", n) for n in config.features]
+        used += [(f"jobs[{k}] (feature={job.feature})", n) for k, job in enumerate(config.jobs)
+                 for n in job.conditioning + (job.extension or ())]
+        problems += [f"{where}: {n!r} is not a data variable" for where, n in used if n not in names]
+    if config.model != "ols":
+        try:
+            model = _read("model", load_model, config.model)
+        except ConfigError as exc:
+            problems.append(str(exc))
+        else:
+            if set(model.feature_order) != set(config.features):
+                problems.append(
+                    f"model: {config.model!r} was fit on features "
+                    f"{sorted(model.feature_order)}, config expects {sorted(config.features)}"
+                )
+    if problems:
+        raise ConfigError("\n".join(problems))
+    if graph is not None:
+        return _read("data.graph", sample_scm, graph, config.data_n, config.seed,
+                     config.target, config.test_fraction), model
+    return _read("data.csv", load_csv, config.data_csv, config.target, config.split_column,
+                 config.test_fraction, config.seed), model
+
+
+def validate_config(ref: str) -> list[str]:
+    """Every problem in the config and its inputs: ``read_inputs`` reads the
+    data rows and the model file, but nothing is fitted or scored."""
     config, problems = parse_config_text(_resolve_config_text(ref), ref)
     if config is None:
         return problems
-    available: tuple[str, ...] | None = None
-    if config.data_graph is not None:
-        try:
-            available = _resolve_graph(config.data_graph).nodes
-        except GraphError as exc:
-            problems.append(f"data.graph: {exc}")
-    else:
-        assert config.data_csv is not None
-        if not os.path.exists(config.data_csv):
-            problems.append(f"data.csv: no file {config.data_csv!r}")
-        else:
-            try:
-                header = _csv_header(config.data_csv)
-            except (OSError, SchemaError) as exc:
-                problems.append(f"data.csv: {exc}")
-            else:
-                if config.split_column is not None:
-                    if config.split_column not in header:
-                        problems.append(
-                            f"data.split_column: no column {config.split_column!r}"
-                        )
-                    header = [h for h in header if h != config.split_column]
-                available = tuple(header)
-    if available is not None:
-        known = set(available)
-        if config.target not in known:
-            problems.append(f"target: {config.target!r} is not a data variable")
-        for name in config.features:
-            if name not in known:
-                problems.append(f"features: {name!r} is not a data variable")
-        for k, job in enumerate(config.jobs):
-            for name in job.conditioning + (job.extension or ()):
-                if name not in known:
-                    problems.append(
-                        f"jobs[{k}] (feature={job.feature}): "
-                        f"{name!r} is not a data variable"
-                    )
-    if config.model != "ols" and not os.path.exists(config.model):
-        problems.append(f"model: no file {config.model!r} (and it is not 'ols')")
-    return problems
-
-
-def _load_data(config: ExperimentConfig) -> Dataset:
-    if config.data_csv is not None:
-        try:
-            return load_csv(
-                config.data_csv,
-                config.target,
-                split_column=config.split_column,
-                test_fraction=config.test_fraction,
-                seed=config.seed,
-            )
-        except OSError as exc:
-            raise ConfigError(f"cannot read {config.data_csv!r}: {exc}") from None
-    assert config.data_graph is not None and config.data_n is not None
-    graph = _resolve_graph(config.data_graph)
-    return sample_scm(
-        graph, config.data_n, config.seed, config.target, config.test_fraction
-    )
-
-
-def _load_model(config: ExperimentConfig, data: Dataset) -> LinearModel:
-    if config.model == "ols":
-        return fit_from_dataset(data, config.features)
-    model = load_model(config.model)
-    if set(model.feature_order) != set(config.features):
-        raise ConfigError(
-            f"model file {config.model!r} was fit on features "
-            f"{sorted(model.feature_order)}, config expects {sorted(config.features)}"
-        )
-    return model
+    try:
+        read_inputs(config)
+    except ConfigError as exc:
+        return str(exc).split("\n")
+    return []
 
 
 def _expand_cells(jobs) -> list[tuple[str, tuple[str, ...]]]:
@@ -436,9 +430,9 @@ def _expand_cells(jobs) -> list[tuple[str, tuple[str, ...]]]:
     """
     cells: dict = {}  # insertion-ordered set
     for job in jobs:
-        cells[(job.feature, tuple(sorted(set(job.conditioning))))] = None
+        cells[(job.feature, canonical_names(job.conditioning))] = None
         if job.extension is not None:
-            cells[(job.feature, tuple(sorted(set(job.conditioning + job.extension))))] = None
+            cells[(job.feature, canonical_names(job.conditioning + job.extension))] = None
     return list(cells)
 
 
@@ -459,8 +453,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     failing cell the rows completed before it are still written.
     """
     started = time.perf_counter()
-    data = _load_data(config)
-    model = _load_model(config, data)
+    data, model = read_inputs(config)
+    if model is None:
+        model = fit_from_dataset(data, config.features)
     loss = get_loss(config.loss)
     test = get_test(config.test_kind)
     cells = _expand_cells(config.jobs)
@@ -484,28 +479,25 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
         estimate = engine.score_cell(context, *cell, fit)
         return estimate, test(estimate.first_differences, alpha=config.alpha)
 
-    results: list[tuple] = []
+    estimates: list[engine.RfiEstimate] = []
     rows: list[list[str]] = []
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = [pool.submit(evaluate, cell) for cell in cells]
-        for k, future in enumerate(futures):
-            try:
-                results.append(future.result())
-            except Exception as exc:
-                for pending in futures[k + 1:]:
-                    pending.cancel()
-                engine.write_results_csv(csv_path, rows)
-                feature, cond = cells[k]
-                raise RunError(
-                    f"job {k} (feature={feature}, "
-                    f"G={engine.format_conditioning(cond) or '{}'}) failed: {exc}"
-                ) from exc
-            rows.append(engine.result_row(results[k][0], results[k][1], config.form))
+        try:  # map cancels the cells that have not started once one raises
+            for estimate, result in pool.map(evaluate, cells):
+                estimates.append(estimate)
+                rows.append(engine.result_row(estimate, result, config.form))
+        except Exception as exc:
+            engine.write_results_csv(csv_path, rows)
+            feature, cond = cells[len(rows)]
+            raise RunError(
+                f"job {len(rows)} (feature={feature}, "
+                f"G={engine.format_conditioning(cond) or '{}'}) failed: {exc}"
+            ) from exc
     engine.write_results_csv(csv_path, rows)
     # titled after the data source, not the output path, so redirecting
     # the output directory cannot change a single output byte
     title = config.data_graph or os.path.basename(config.data_csv or "")
-    svg = render_figure([r[0] for r in results], config.form, title=title)
+    svg = render_figure(estimates, config.form, title=title)
     with open(svg_path, "w", newline="") as fp:
         fp.write(svg)
     seconds = time.perf_counter() - started
@@ -559,7 +551,7 @@ def render_figure(estimates, form: str = engine.DIFFERENCE, title: str = "") -> 
     for est in estimates:
         half = math.nan
         if est.replications >= 2 and math.isfinite(est.value_se(form)):
-            half = est.value_se(form) * float(stats.t.ppf(0.975, est.replications - 1))
+            half = est.value_se(form) * float(stdtrit(est.replications - 1, 0.975))
         values[(est.feature, est.conditioning)] = (est.value(form), half)
 
     reference = 0.0 if form == engine.DIFFERENCE else 1.0
@@ -739,11 +731,8 @@ def _check_flags(values: dict) -> None:
 
 def _cmd_simulate(args) -> int:
     _check_flags({"data.n": args.n, "seed": args.seed, "test_fraction": args.test_fraction})
-    try:
-        graph = _resolve_graph(args.graph)
-    except GraphError as exc:
-        raise ConfigError(str(exc)) from None
-    data = sample_scm(graph, args.n, args.seed, args.target, args.test_fraction)
+    graph = _read("graph", _resolve_graph, args.graph)
+    data = _read("graph", sample_scm, graph, args.n, args.seed, args.target, args.test_fraction)
     save_csv(data, args.out)
     print(f"wrote {args.out} ({data.n} rows, {len(data.variable_names)} variables)")
     return 0
@@ -756,18 +745,8 @@ def _cmd_fit(args) -> int:
         features = [f.strip() for f in args.features.split(",") if f.strip()]
         if not features:
             raise ConfigError("--features must name at least one column")
-    try:
-        data = load_csv(
-            args.csv,
-            args.target,
-            split_column=args.split_column,
-            test_fraction=args.test_fraction,
-            seed=args.seed,
-        )
-    except OSError as exc:
-        raise ConfigError(f"cannot read {args.csv!r}: {exc}") from None
-    except SchemaError as exc:
-        raise ConfigError(str(exc)) from None
+    data = _read("csv", load_csv, args.csv, args.target, args.split_column,
+                 args.test_fraction, args.seed)
     model = fit_from_dataset(data, features)
     loss = get_loss("squared")
     train_risk = empirical_risk(model, data, loss, TRAIN)
@@ -806,7 +785,7 @@ def main(argv=None) -> int:
         FitError,
         CovarianceError,
         KnockoffError,
-        ValueError,  # also GraphError, SchemaError and numpy's LinAlgError
+        ValueError,  # also SchemaError and numpy's LinAlgError
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

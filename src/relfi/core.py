@@ -198,6 +198,11 @@ def save_csv(data: Dataset, path) -> None:
             writer.writerow([repr(float(v)) for v in row] + [str(tag)])
 
 
+def canonical_names(names) -> tuple[str, ...]:
+    """A conditioning set in its one canonical form: distinct names, sorted."""
+    return tuple(sorted(str(n) for n in set(names)))
+
+
 def check_partition(
     target: str, feature: str, conditioning: Iterable[str], extension: Iterable[str] = ()
 ) -> None:

@@ -38,7 +38,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import TEST, Dataset, LossFunction, PredictiveModel, SchemaError, check_partition
+from .core import (
+    TEST, Dataset, LossFunction, PredictiveModel, SchemaError, canonical_names, check_partition,
+)
 from .inference import TestResult
 from .samplers import _AffineSampler
 
@@ -174,10 +176,6 @@ def _check_form(form: str) -> None:
         raise ValueError(f"form must be one of {', '.join(FORMS)}; got {form!r}")
 
 
-def _canonical_names(names) -> tuple[str, ...]:
-    return tuple(sorted(str(n) for n in set(names)))
-
-
 def _validate_cell(
     model: PredictiveModel,
     data: Dataset,
@@ -259,7 +257,7 @@ def compute_rfi(
     ``context`` is the per-run state built from the same model, loss,
     data, replications and seed; it is built here when not given.
     """
-    conditioning = _canonical_names(conditioning)
+    conditioning = canonical_names(conditioning)
     _validate_cell(model, data, feature, conditioning)
     if context is None:
         context = EvaluationContext(model, loss, data, replications, base_seed)
@@ -315,16 +313,14 @@ def compute_delta_rfi(
 ) -> DeltaRfi:
     """Importance with ``conditioning`` minus importance with it extended.
 
-    Both arms run on the same seed family, so their replacement draws
-    share underlying noise.
+    The two arms are the cells (G, G + E) of one ``rfi_profile``, so their
+    replacement draws share underlying noise.
     """
-    conditioning = _canonical_names(conditioning)
-    extension = _canonical_names(extension)
+    conditioning, extension = canonical_names(conditioning), canonical_names(extension)
     check_partition(data.target_name, feature, conditioning, extension)
-    union = _canonical_names(conditioning + extension)
-    context = EvaluationContext(model, loss, data, replications, base_seed)
-    base, extended = (
-        score_cell(context, feature, cond, sampler_factory) for cond in (conditioning, union)
+    base, extended = rfi_profile(
+        model, loss, data, [feature], [conditioning, conditioning + extension],
+        sampler_factory, replications, base_seed,
     )
     return DeltaRfi(feature, conditioning, extension, base, extended)
 
@@ -356,7 +352,7 @@ def score_cell(
 ) -> RfiEstimate:
     """Importance of one cell on a shared context: the sampler comes from
     ``sampler_factory``, which is not called for a feature inside G."""
-    conditioning = _canonical_names(conditioning)
+    conditioning = canonical_names(conditioning)
     sampler = None if feature in conditioning else sampler_factory(feature, conditioning)
     return compute_rfi(
         context.model, context.loss, context.data, feature, conditioning, sampler,
@@ -365,7 +361,7 @@ def score_cell(
 
 
 def format_conditioning(conditioning) -> str:
-    return ";".join(_canonical_names(conditioning))
+    return ";".join(canonical_names(conditioning))
 
 
 def result_row(estimate: RfiEstimate, test: TestResult, form: str = DIFFERENCE) -> list[str]:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr, stdtrit
 
 PAIRED_T = "paired-t-one-sided"
 SIGN_FLIP = "sign-flip-exact"
@@ -77,7 +77,7 @@ def paired_t_one_sided(differences, alpha: float = DEFAULT_ALPHA) -> TestResult:
         stat = math.inf if mean > 0 else -math.inf
         return TestResult(stat, 0.0 if mean > 0 else 1.0, n, PAIRED_T, alpha)
     t = mean / (sd / math.sqrt(n))
-    p = float(stats.t.sf(t, df=n - 1))
+    p = float(stdtr(n - 1, -t))  # the upper tail of t with n - 1 degrees of freedom
     return TestResult(t, p, n, PAIRED_T, alpha)
 
 
@@ -137,7 +137,7 @@ def confidence_interval(differences, level: float = 0.95) -> tuple[float, float]
     sd = float(d.std(ddof=1))
     if sd == 0.0:
         return (mean, mean)
-    half = float(stats.t.ppf(0.5 + level / 2.0, df=n - 1)) * sd / math.sqrt(n)
+    half = float(stdtrit(n - 1, 0.5 + level / 2.0)) * sd / math.sqrt(n)
     return (mean - half, mean + half)
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TEST, TRAIN, Dataset, SchemaError, check_partition
+from .core import TEST, TRAIN, Dataset, SchemaError, canonical_names, check_partition
 
 # Cap the equicorrelated diagonal at the correlation-scale value 1.0,
 # the marginal-variance bound from the construction.
@@ -328,7 +328,7 @@ def fit_sampler(
         raise ValueError(
             f"unknown sampler kind {kind!r}; available: {', '.join(SAMPLER_KINDS)}"
         )
-    conditioning = tuple(sorted(str(g) for g in set(conditioning)))
+    conditioning = canonical_names(conditioning)
     if feature in conditioning:
         raise SchemaError(
             f"feature {feature!r} cannot appear in its own conditioning set"

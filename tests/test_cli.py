@@ -25,7 +25,7 @@ from relfi.cli import (
 from relfi.core import TEST, load_csv
 from relfi.engine import CSV_HEADER, RATIO, RfiEstimate
 from relfi.models import load_model
-from relfi.scm import builtin_experiment_b, sample_scm
+from relfi.scm import builtin_experiment_a, builtin_experiment_b, graph_to_mapping, sample_scm
 
 
 def base_mapping(tmp_path, **overrides):
@@ -306,14 +306,21 @@ class TestRunExperiment:
             assert a == b
 
     def test_failed_job_flushes_prefix(self, tmp_path):
+        # K has no noise, so without a ridge the X1 | {K} covariance is singular
+        graph = graph_to_mapping(builtin_experiment_a())
+        graph["nodes"].append({"name": "K", "noise_scale": 0.0})
+        graph_path = tmp_path / "g.yaml"
+        graph_path.write_text(yaml.safe_dump(graph))
         config = make_config(
             tmp_path,
+            data={"graph": str(graph_path), "n": 2000},
+            sampler={"ridge": 0.0},
             jobs=[
                 {"feature": "X3", "conditioning": []},
-                {"feature": "X4", "conditioning": ["Q"]},
+                {"feature": "X1", "conditioning": ["K"]},
             ],
         )
-        with pytest.raises(RunError, match=r"job 1 \(feature=X4, G=Q\)"):
+        with pytest.raises(RunError, match=r"job 1 \(feature=X1, G=K\).*not positive definite"):
             run_experiment(config)
         lines = (tmp_path / "out" / "results.csv").read_text().strip().split("\n")
         assert len(lines) == 2
@@ -428,6 +435,27 @@ class TestMainVerbs:
         assert main(["run", str(path)]) == 2
         assert main(["validate", str(path)]) == 2
         assert "data:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", ["job-name", "csv-row", "model-file", "graph"])
+    def test_bad_input_stops_run_like_validate(self, tmp_path, capsys, case):
+        # every input is read before the output directory is made
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("X1,X2,X3,X4,Y\n" + "1,2,3,4,5\n" * 5 + "1,2,x,4,5\n")
+        overrides = {
+            "job-name": {"jobs": [{"feature": "X3", "conditioning": []},
+                                  {"feature": "X4", "conditioning": ["Q"]}]},
+            "csv-row": {"data": {"csv": str(csv_path)}},
+            "model-file": {"model": str(tmp_path / "none.yaml")},
+            "graph": {"data": {"graph": "mystery", "n": 100}},
+        }[case]
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(base_mapping(tmp_path, **overrides)))
+        assert main(["validate", str(path)]) == 2
+        problems = capsys.readouterr().out
+        assert problems.strip()
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {problems}"
+        assert not (tmp_path / "out").exists()
 
     def test_validate_ok(self, tmp_path, capsys):
         path = tmp_path / "c.yaml"
