@@ -9,11 +9,12 @@ Outputs are byte-identical across reruns with the same config and seed.
 
 Command line verbs: ``run``, ``validate``, ``simulate``, ``fit``. Every
 verb reads all of its inputs (config, data file or graph, model file)
-before it writes anything; ``run`` and ``validate`` share one input stage,
-``read_inputs``, so ``validate`` reports exactly what would stop ``run``.
-Exit codes: 0 on success, 2 for a problem with any input, 3 for a failure
-while fitting or scoring (a rank-deficient fit, a singular covariance, no
-test rows, the ratio form on a perfect fit).
+before it writes anything, and checks every name it is given against the
+data source's names before it reads any rows; ``run`` and ``validate``
+share one input stage, ``read_inputs``, so ``validate`` reports exactly
+what would stop ``run``. Exit codes: 0 on success, 2 for a problem with
+any input, 3 for a failure while fitting or scoring (a rank-deficient
+fit, a singular covariance, no test rows, the ratio form on a perfect fit).
 """
 
 from __future__ import annotations
@@ -42,18 +43,18 @@ from .core import (
     TRAIN,
     Dataset,
     InvalidPartitionError,
-    SchemaError,
     canonical_names,
     check_partition,
+    csv_header,
     empirical_risk,
     get_loss,
     load_csv,
     save_csv,
 )
 from .inference import DEFAULT_ALPHA, TEST_KINDS, get_test
-from .models import FitError, LinearModel, fit_from_dataset, load_model, save_model
-from .samplers import SAMPLER_KINDS, CovarianceError, KnockoffError, fit_sampler, shared_moments
-from .scm import BUILTIN_GRAPHS, GraphError, ScmGraph, builtin_graph, load_graph, sample_scm
+from .models import LinearModel, fit_from_dataset, load_model, save_model
+from .samplers import SAMPLER_KINDS, fit_sampler, shared_moments
+from .scm import BUILTIN_GRAPHS, load_graph, sample_scm
 
 BUNDLED_CONFIGS = ("experiment_a", "experiment_b")
 
@@ -135,7 +136,7 @@ class _Key(NamedTuple):
 # are lists, parsed and written by hand below.
 _KEYS = (
     _Key("data.graph", "data_graph", _is_text, "must be a built-in graph name or a graph file"),
-    _Key("data.n", "data_n", lambda v: _is_int(v, 1), "must be a positive integer"),
+    _Key("data.n", "data_n", lambda v: _is_int(v, 2), "must be an integer >= 2"),
     _Key("data.csv", "data_csv", _is_text, "must be a CSV file path"),
     _Key("data.split_column", "split_column", _is_text, "must be a column name"),
     _Key("target", "target", _is_text, "must be a non-empty string"),
@@ -216,6 +217,14 @@ def _parse_jobs(raw, problems: list[str]) -> tuple[Job, ...]:
     return tuple(jobs)
 
 
+def _feature_problems(target, features) -> list[str]:
+    """The rules a feature list obeys whatever the data holds."""
+    rules = [(not features, "required non-empty list"),
+             (len(set(features)) != len(features), "names must be unique"),
+             (target in features, "the target cannot be a feature")]
+    return [f"features: {text}" for broken, text in rules if broken]
+
+
 def config_from_mapping(mapping) -> tuple[ExperimentConfig | None, list[str]]:
     """Parse a raw mapping; returns (config, problems).
 
@@ -268,12 +277,7 @@ def config_from_mapping(mapping) -> tuple[ExperimentConfig | None, list[str]]:
 
     target = values.get("target")
     features = _name_list(mapping.get("features"), "features", problems)
-    if not features:
-        problems.append("features: required non-empty list")
-    if len(set(features)) != len(features):
-        problems.append("features: names must be unique")
-    if target in features:
-        problems.append("features: the target cannot be a feature")
+    problems += _feature_problems(target, features)
 
     jobs = _parse_jobs(mapping.get("jobs"), problems)
     for k, job in enumerate(jobs):
@@ -290,37 +294,23 @@ def config_from_mapping(mapping) -> tuple[ExperimentConfig | None, list[str]]:
     return ExperimentConfig(features=features, jobs=jobs, **values), []
 
 
-def _resolve_config_text(ref: str) -> str:
-    """Config text for a path or a bundled config name."""
+def load_config(ref: str, overrides=()) -> ExperimentConfig:
+    """The config ``ref`` names, a file path or a bundled name, with (dotted
+    key, value) ``overrides`` replacing its values."""
     if os.path.exists(ref):
         try:
             with open(ref) as fp:
-                return fp.read()
+                text = fp.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {ref!r}: {exc}") from None
-    if ref in BUNDLED_CONFIGS:
-        return resources.files(__package__).joinpath("configs", f"{ref}.yaml").read_text()
-    raise ConfigError(
-        f"no config file {ref!r}; bundled configs: {', '.join(BUNDLED_CONFIGS)}"
-    )
-
-
-def load_config(ref: str, overrides=()) -> ExperimentConfig:
-    """The config ``ref`` names, (dotted key, value) ``overrides`` replacing its values."""
-    config, problems = parse_config_text(_resolve_config_text(ref), ref, overrides)
-    if problems:
-        raise ConfigError("\n".join(problems))
-    assert config is not None
-    return config
-
-
-def parse_config_text(
-    text: str, where: str, overrides=()
-) -> tuple[ExperimentConfig | None, list[str]]:
+    elif ref in BUNDLED_CONFIGS:
+        text = resources.files(__package__).joinpath("configs", f"{ref}.yaml").read_text()
+    else:
+        raise ConfigError(f"no config file {ref!r}; bundled configs: {', '.join(BUNDLED_CONFIGS)}")
     try:
         mapping = yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        return None, [f"{where}: not valid YAML ({exc})"]
+        raise ConfigError(f"{ref}: not valid YAML ({exc})") from None
     for path, value in overrides if isinstance(mapping, dict) else ():
         section, _, name = path.rpartition(".")
         if section and mapping.get(section) is None:
@@ -328,26 +318,10 @@ def parse_config_text(
         target = mapping[section] if section else mapping
         if isinstance(target, dict):  # otherwise the parser reports the section
             target[name] = value
-    return config_from_mapping(mapping)
-
-
-def _resolve_graph(ref: str) -> ScmGraph:
-    if ref in BUILTIN_GRAPHS:
-        return builtin_graph(ref)
-    if os.path.exists(ref):
-        return load_graph(ref)
-    raise GraphError(
-        f"no graph file or built-in named {ref!r}; "
-        f"built-ins: {', '.join(sorted(BUILTIN_GRAPHS))}"
-    )
-
-
-def _csv_header(path: str) -> list[str]:
-    with open(path, newline="") as fp:
-        row = next(_csv.reader(fp), None)
-    if not row:
-        raise SchemaError(f"{path}: empty file")
-    return [h.strip() for h in row]
+    config, problems = config_from_mapping(mapping)
+    if problems:
+        raise ConfigError("\n".join(problems))
+    return config
 
 
 def _read(key: str, read: Callable, *args):
@@ -358,6 +332,15 @@ def _read(key: str, read: Callable, *args):
         raise ConfigError(f"{key}: no file {args[0]!r}") from None
     except (OSError, ValueError, TypeError, _csv.Error) as exc:  # GraphError, SchemaError too
         raise ConfigError(f"{key}: {exc}") from None
+
+
+def _unknown_names(names, target, features=(), jobs=()) -> list[str]:
+    """A problem for the target, each feature and each job's G and extension
+    name that is not one of the data source's ``names``."""
+    used = [("target", target)] + [("features", n) for n in features]
+    used += [(f"jobs[{k}] (feature={job.feature})", n) for k, job in enumerate(jobs)
+             for n in job.conditioning + (job.extension or ())]
+    return [f"{where}: {n!r} is not a data variable" for where, n in used if n not in names]
 
 
 def read_inputs(config: ExperimentConfig) -> tuple[Dataset, LinearModel | None]:
@@ -373,10 +356,10 @@ def read_inputs(config: ExperimentConfig) -> tuple[Dataset, LinearModel | None]:
     graph = names = model = None
     try:
         if config.data_graph is not None:
-            graph = _read("data.graph", _resolve_graph, config.data_graph)
+            graph = _read("data.graph", load_graph, config.data_graph)
             names = graph.nodes
         else:
-            names = _read("data.csv", _csv_header, config.data_csv)
+            names = _read("data.csv", csv_header, config.data_csv)
             split = config.split_column
             if split is not None and split not in names:
                 problems.append(f"data.split_column: no column {split!r}")
@@ -384,10 +367,7 @@ def read_inputs(config: ExperimentConfig) -> tuple[Dataset, LinearModel | None]:
     except ConfigError as exc:
         problems.append(str(exc))
     if names is not None:
-        used = [("target", config.target)] + [("features", n) for n in config.features]
-        used += [(f"jobs[{k}] (feature={job.feature})", n) for k, job in enumerate(config.jobs)
-                 for n in job.conditioning + (job.extension or ())]
-        problems += [f"{where}: {n!r} is not a data variable" for where, n in used if n not in names]
+        problems += _unknown_names(names, config.target, config.features, config.jobs)
     if config.model != "ols":
         try:
             model = _read("model", load_model, config.model)
@@ -411,11 +391,8 @@ def read_inputs(config: ExperimentConfig) -> tuple[Dataset, LinearModel | None]:
 def validate_config(ref: str) -> list[str]:
     """Every problem in the config and its inputs: ``read_inputs`` reads the
     data rows and the model file, but nothing is fitted or scored."""
-    config, problems = parse_config_text(_resolve_config_text(ref), ref)
-    if config is None:
-        return problems
     try:
-        read_inputs(config)
+        read_inputs(load_config(ref))
     except ConfigError as exc:
         return str(exc).split("\n")
     return []
@@ -731,7 +708,9 @@ def _check_flags(values: dict) -> None:
 
 def _cmd_simulate(args) -> int:
     _check_flags({"data.n": args.n, "seed": args.seed, "test_fraction": args.test_fraction})
-    graph = _read("graph", _resolve_graph, args.graph)
+    graph = _read("graph", load_graph, args.graph)
+    if args.target is not None and (problems := _unknown_names(graph.nodes, args.target)):
+        raise ConfigError(problems[0])
     data = _read("graph", sample_scm, graph, args.n, args.seed, args.target, args.test_fraction)
     save_csv(data, args.out)
     print(f"wrote {args.out} ({data.n} rows, {len(data.variable_names)} variables)")
@@ -743,8 +722,12 @@ def _cmd_fit(args) -> int:
     features = None
     if args.features is not None:
         features = [f.strip() for f in args.features.split(",") if f.strip()]
-        if not features:
-            raise ConfigError("--features must name at least one column")
+    names = [n for n in _read("csv", csv_header, args.csv) if n != args.split_column]
+    problems = _unknown_names(names, args.target, features or ())
+    if features is not None:
+        problems += _feature_problems(args.target, features)
+    if problems:
+        raise ConfigError("\n".join(problems))
     data = _read("csv", load_csv, args.csv, args.target, args.split_column,
                  args.test_fraction, args.seed)
     model = fit_from_dataset(data, features)
@@ -780,14 +763,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (
-        RunError,
-        FitError,
-        CovarianceError,
-        KnockoffError,
-        ValueError,  # also SchemaError and numpy's LinAlgError
-        OSError,
-    ) as exc:
+    except (RuntimeError, ValueError, OSError) as exc:  # every library error class
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -129,6 +129,15 @@ def holdout_mask_from_seed(n: int, test_fraction: float, seed: int) -> np.ndarra
     return mask
 
 
+def csv_header(path) -> list[str]:
+    """The variable names in the first row of a CSV file, stripped."""
+    with open(path, newline="") as fp:
+        header = next(csv.reader(fp), None)
+    if not header:
+        raise SchemaError(f"{path}: empty file")
+    return [h.strip() for h in header]
+
+
 def load_csv(
     path,
     target: str,
@@ -143,22 +152,19 @@ def load_csv(
     generated from ``seed`` and ``test_fraction``. Non-numeric or
     non-finite data cells are rejected.
     """
+    header = csv_header(path)
+    split_idx = None
+    if split_column is not None:
+        if split_column not in header:
+            raise SchemaError(f"{path}: no split column named {split_column!r}")
+        split_idx = header.index(split_column)
+    names = [h for k, h in enumerate(header) if k != split_idx]
+    data_idx = [k for k in range(len(header)) if k != split_idx]
+    rows: list[list[float]] = []
+    tags: list[bool] = []
     with open(path, newline="") as fp:
         reader = csv.reader(fp)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        split_idx = None
-        if split_column is not None:
-            if split_column not in header:
-                raise SchemaError(f"{path}: no split column named {split_column!r}")
-            split_idx = header.index(split_column)
-        names = [h for k, h in enumerate(header) if k != split_idx]
-        data_idx = [k for k in range(len(header)) if k != split_idx]
-        rows: list[list[float]] = []
-        tags: list[bool] = []
+        next(reader)  # the header row
         for lineno, record in enumerate(reader, start=2):
             if not record:
                 continue

@@ -339,6 +339,8 @@ def rfi_profile(
 
     Cells are evaluated in row-major order (features outer). The output
     order, and every estimate in it, is deterministic given the inputs.
+    No training joint is shared between the cells: a joint as wide as the
+    call's cells could move a cell's last bits with the other cells.
     """
     context = EvaluationContext(model, loss, data, replications, base_seed)
     return tuple(

@@ -3,10 +3,11 @@
 The importance engine needs draws of a feature from its conditional law
 given the conditioning set G. Every sampler is built on a Gaussian joint
 of the feature and G fitted to the training rows, and applied to test
-rows. Where it costs less, the cells of one run (``relfi run``) with a
-nonempty G read their joints as blocks of one training joint over the
-columns those cells name (``shared_moments``), fitted once before any
-cell runs; a cell with an empty G always fits its feature's own column.
+rows. Unless it would be more than twice as wide as the widest cell, the
+cells of one run (``relfi run``) with a nonempty G read their joints as
+blocks of one training joint over the columns those cells name
+(``shared_moments``), fitted once before any cell runs; a cell with an
+empty G always fits its feature's own column.
 On a joint wider than about 5 columns a block can differ from a fit of
 the subset alone in the last bits (at most 1.0e-12 relative per
 parameter over 600 sets on a 13-variable graph).
@@ -295,14 +296,13 @@ def training_moments(data: Dataset, names, features) -> tuple:
 def shared_moments(data: Dataset, cells):
     """The ``training_moments`` over the columns of the (feature, G) cells that
     fit a conditional (nonempty G without the feature), or None unless it is
-    at most twice as wide as the widest such cell and its squared width is at
-    most the sum of theirs: its gather and covariance then cost no more than
-    the cells' own fits, and its block no more memory than two of theirs."""
+    at most twice as wide as the widest such cell, so that gathering its
+    block takes no more memory than two of theirs."""
     conditional = [(feature, g) for feature, g in cells if g and feature not in g]
     named = {name for feature, g in conditional for name in (feature, *g)}
     columns = [n for n in data.variable_names if n in named and n != data.target_name]
-    widths, k = [1 + len(set(g)) for _, g in conditional], len(columns)
-    if not widths or k > 2 * max(widths) or k * k > sum(w * w for w in widths):
+    widths = [1 + len(set(g)) for _, g in conditional]
+    if not widths or len(columns) > 2 * max(widths):
         return None
     return training_moments(data, columns, {feature for feature, _ in conditional})
 

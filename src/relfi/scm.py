@@ -232,12 +232,20 @@ def graph_to_mapping(graph: ScmGraph) -> dict:
     }
 
 
-def load_graph(path) -> ScmGraph:
-    with open(path) as fp:
-        try:
+def load_graph(ref) -> ScmGraph:
+    """The built-in graph named ``ref``, else the graph file at path ``ref``."""
+    if ref in BUILTIN_GRAPHS:
+        return BUILTIN_GRAPHS[ref]()
+    try:
+        with open(ref) as fp:
             mapping = yaml.safe_load(fp)
-        except yaml.YAMLError as exc:
-            raise GraphError(f"{path}: not valid YAML ({exc})") from None
+    except FileNotFoundError:
+        raise GraphError(
+            f"no graph file or built-in named {str(ref)!r}; "
+            f"built-ins: {', '.join(sorted(BUILTIN_GRAPHS))}"
+        ) from None
+    except yaml.YAMLError as exc:
+        raise GraphError(f"{ref}: not valid YAML ({exc})") from None
     return parse_graph(mapping)
 
 

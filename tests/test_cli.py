@@ -582,6 +582,40 @@ class TestMainVerbs:
     def test_argparse_exit_is_returned(self, argv, code, capsys):
         assert main(argv) == code
 
+    @pytest.mark.parametrize(
+        "case, key",
+        [
+            ("fit-unknown-feature", "features"),
+            ("fit-target-as-feature", "features"),
+            ("fit-repeated-feature", "features"),
+            ("fit-unknown-target", "target"),
+            ("simulate-unknown-target", "target"),
+            ("simulate-one-row", "data.n"),
+            ("config-one-row", "data.n"),
+        ],
+    )
+    def test_bad_name_or_row_count_is_exit_two(self, tmp_path, capsys, case, key):
+        csv_path, out = str(tmp_path / "d.csv"), str(tmp_path / "out")
+        assert main(["simulate", "experiment_b", "--n", "100", "--out", csv_path]) == 0
+        config_path = tmp_path / "c.yaml"
+        one_row = base_mapping(tmp_path, data={"graph": "experiment_a", "n": 1})
+        config_path.write_text(yaml.safe_dump(one_row))
+        fit = ["fit", csv_path, "--split-column", "split", "--out", out, "--target"]
+        argv = {
+            "fit-unknown-feature": fit + ["Y", "--features", "X1,Q"],
+            "fit-target-as-feature": fit + ["Y", "--features", "X1,Y"],
+            "fit-repeated-feature": fit + ["Y", "--features", "X1,X1"],
+            "fit-unknown-target": fit + ["Q"],
+            "simulate-unknown-target": ["simulate", "experiment_b", "--n", "100", "--target", "Q",
+                                        "--out", out],
+            "simulate-one-row": ["simulate", "experiment_b", "--n", "1", "--out", out],
+            "config-one-row": ["run", str(config_path)],
+        }[case]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert not Path(out).exists()
+
     def test_simulate_round_trip(self, tmp_path):
         out = tmp_path / "sim.csv"
         assert main(["simulate", "experiment_b", "--n", "50", "--seed", "1",

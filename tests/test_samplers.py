@@ -6,7 +6,9 @@ import pytest
 
 from relfi import samplers
 from relfi.cli import load_config, run_experiment
-from relfi.core import TEST, TRAIN, Dataset, SchemaError
+from relfi.core import TEST, TRAIN, Dataset, SchemaError, SquaredError
+from relfi.engine import compute_delta_rfi, rfi_profile
+from relfi.models import fit_from_dataset
 from relfi.samplers import (
     CovarianceError,
     GaussianConditionalSampler,
@@ -417,6 +419,22 @@ class TestSharedJoint:
                     [s.intercept, s.scale], [intercept, scale], rtol=1e-10, atol=0
                 )
 
+    @pytest.mark.parametrize("kind", ["gaussian", "knockoff"])
+    def test_delta_arms_are_their_cells_of_a_wider_profile(self, kind):
+        # library loops fit each cell on its own columns: a joint as wide as
+        # the call's cells would move a cell's last bits with its neighbours
+        data = sample_scm(_random_scm(np.random.default_rng(3)), 5_000, seed=6)
+        features = data.variable_names[:-1]
+        model, loss = fit_from_dataset(data, features), SquaredError()
+        factory = sampler_factory(data, kind)
+        base, extension = ("V8",), ("V1", "V10")
+        sets = [(), base, base + extension, [v for v in features if v != "V5"]]
+        profile = rfi_profile(model, loss, data, ["V5"], sets, factory, 3, 7)
+        delta = compute_delta_rfi(model, loss, data, "V5", base, extension, factory, 3, 7)
+        for arm, cell in ((delta.base, profile[1]), (delta.extended, profile[2])):
+            assert arm.perturbed_risks == cell.perturbed_risks
+            assert arm.first_differences.tobytes() == cell.first_differences.tobytes()
+
     def test_moments_repeat_numpy_cov(self):
         rng = np.random.default_rng(8)
         for n, k in [(2, 1), (3, 4), (1_001, 1), (20_003, 6)]:
@@ -454,9 +472,9 @@ class TestSharedJoint:
         names, _, _, bounds = shared_moments(data, narrow)
         assert names == ("V0", "V1", "V2", "V3") and set(bounds) == {"V0", "V2", "V3"}
         assert shared_moments(data, narrow + [("V5", ()), ("V5", ("V5",))])[0] == names
-        # a joint of five columns costs more than fits of three and two
-        assert shared_moments(data, [("V0", ("V1", "V2")), ("V3", ("V4",))]) is None
-        # repeated cells add up squared widths, but 24 columns are twelve cells wide
+        # a joint of five columns is less than twice as wide as a cell of three
+        assert shared_moments(data, [("V0", ("V1", "V2")), ("V3", ("V4",))])[0] == names + ("V4",)
+        # repeated cells do not widen a cell, and 24 columns are twelve cells wide
         scattered = [(f"V{i}", (f"V{i + 1}",)) for i in range(0, 24, 2)]
         assert shared_moments(data, scattered * 20) is None
         assert shared_moments(data, [("V0", ()), ("V1", ("V1", "V2"))]) is None
