@@ -343,6 +343,14 @@ def _unknown_names(names, target, features=(), jobs=()) -> list[str]:
     return [f"{where}: {n!r} is not a data variable" for where, n in used if n not in names]
 
 
+def _data_names(header, split_column, problems: list[str]) -> list[str]:
+    """The CSV ``header`` without its split column, noting in ``problems``
+    a split column the header does not have."""
+    if split_column is not None and split_column not in header:
+        problems.append(f"data.split_column: no column {split_column!r}")
+    return [n for n in header if n != split_column]
+
+
 def read_inputs(config: ExperimentConfig) -> tuple[Dataset, LinearModel | None]:
     """The config's dataset and its model file (None for 'ols').
 
@@ -359,11 +367,8 @@ def read_inputs(config: ExperimentConfig) -> tuple[Dataset, LinearModel | None]:
             graph = _read("data.graph", load_graph, config.data_graph)
             names = graph.nodes
         else:
-            names = _read("data.csv", csv_header, config.data_csv)
-            split = config.split_column
-            if split is not None and split not in names:
-                problems.append(f"data.split_column: no column {split!r}")
-            names = [n for n in names if n != split]
+            header = _read("data.csv", csv_header, config.data_csv)
+            names = _data_names(header, config.split_column, problems)
     except ConfigError as exc:
         problems.append(str(exc))
     if names is not None:
@@ -722,8 +727,9 @@ def _cmd_fit(args) -> int:
     features = None
     if args.features is not None:
         features = [f.strip() for f in args.features.split(",") if f.strip()]
-    names = [n for n in _read("csv", csv_header, args.csv) if n != args.split_column]
-    problems = _unknown_names(names, args.target, features or ())
+    problems: list[str] = []
+    names = _data_names(_read("csv", csv_header, args.csv), args.split_column, problems)
+    problems += _unknown_names(names, args.target, features or ())
     if features is not None:
         problems += _feature_problems(args.target, features)
     if problems:

@@ -9,6 +9,7 @@ without any index arithmetic.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
@@ -151,6 +152,11 @@ def load_csv(
     ``split_column`` (values ``train``/``test``) when given, otherwise
     generated from ``seed`` and ``test_fraction``. Non-numeric or
     non-finite data cells are rejected.
+
+    The rows are read in one ``np.loadtxt`` pass; a file that pass cannot
+    read exactly as the line parser would (quoted cells, ``1_000``, padded
+    or upper-case tags, any malformed row) is read again by the line
+    parser, which gives every lenient reading and every error message.
     """
     header = csv_header(path)
     split_idx = None
@@ -159,6 +165,75 @@ def load_csv(
             raise SchemaError(f"{path}: no split column named {split_column!r}")
         split_idx = header.index(split_column)
     names = [h for k, h in enumerate(header) if k != split_idx]
+    values, tags = _rows_by_loadtxt(path, header, split_idx) or _rows_by_line(
+        path, header, split_idx
+    )
+    if values.size == 0:
+        raise SchemaError(f"{path}: no data rows")
+    if tags is None:
+        tags = holdout_mask_from_seed(values.shape[0], test_fraction, seed)
+    return Dataset(tuple(names), values, target, tags)
+
+
+def _rows_by_loadtxt(path, header, split_idx):
+    """(values, test mask or None) from one ``np.loadtxt`` pass, or None
+    when the file holds anything the pass might read differently from
+    ``_rows_by_line``.
+
+    The split tags are read as ``U6``: one character wider than ``train``,
+    so a longer tag cannot be cut down to a valid one. A structured dtype
+    also makes numpy refuse a row with more fields than the header. numpy
+    drops trailing NULs from a string cell and reads cells of any length,
+    so a file with a NUL byte or a line longer than the csv module's field
+    limit is left to the line parser.
+    """
+    if not _plain_bytes(path):
+        return None
+    if split_idx is None:
+        dtype = np.dtype(float)
+    else:
+        dtype = np.dtype([(f"c{k}", "U6" if k == split_idx else float)
+                          for k in range(len(header))])
+    try:
+        with open(path, newline="") as fp, warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # "input contained no data"
+            rows = np.loadtxt(fp, dtype=dtype, delimiter=",", skiprows=1,
+                              comments=None, ndmin=1 if split_idx is not None else 2)
+    except (ValueError, UserWarning):
+        return None
+    if split_idx is None:
+        return (rows, None) if rows.shape[1] == len(header) else None
+    tags = rows[f"c{split_idx}"]
+    test = tags == TEST
+    if not (test | (tags == TRAIN)).all():
+        return None
+    data_idx = [k for k in range(len(header)) if k != split_idx]
+    values = np.empty((rows.shape[0], len(data_idx)))
+    for j, k in enumerate(data_idx):
+        values[:, j] = rows[f"c{k}"]
+    return values, test
+
+
+def _plain_bytes(path) -> bool:
+    """True when the file has no NUL byte and no line longer, in bytes,
+    than ``csv.field_size_limit()``."""
+    limit = csv.field_size_limit()
+    carried = 0  # bytes since the last newline of the chunks before
+    with open(path, "rb") as fp:
+        for chunk in iter(lambda: fp.read(1 << 20), b""):
+            if b"\0" in chunk:
+                return False
+            ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+            lengths = np.diff(ends, prepend=-1 - carried) - 1
+            carried = len(chunk) - 1 - ends[-1] if ends.size else carried + len(chunk)
+            if carried > limit or lengths.max(initial=0) > limit:
+                return False
+    return True
+
+
+def _rows_by_line(path, header, split_idx):
+    """(values, test mask or None) from a ``csv.reader`` loop over the data
+    rows; every malformed row raises a SchemaError naming its line."""
     data_idx = [k for k in range(len(header)) if k != split_idx]
     rows: list[list[float]] = []
     tags: list[bool] = []
@@ -185,23 +260,27 @@ def load_csv(
                     )
                 tags.append(tag == TEST)
     values = np.asarray(rows, dtype=float)
-    if values.size == 0:
-        raise SchemaError(f"{path}: no data rows")
-    if split_idx is not None:
-        mask = np.asarray(tags, dtype=bool)
-    else:
-        mask = holdout_mask_from_seed(values.shape[0], test_fraction, seed)
-    return Dataset(tuple(names), values, target, mask)
+    return values, (np.asarray(tags, dtype=bool) if split_idx is not None else None)
+
+
+# Rows formatted per write: large enough that the per-chunk overhead
+# vanishes, small enough that the chunk's strings stay a few MB.
+_SAVE_CHUNK_ROWS = 1 << 14
 
 
 def save_csv(data: Dataset, path) -> None:
-    """Write a dataset back to CSV, with the split as a final column."""
+    """Write a dataset back to CSV, with the split as a final column.
+
+    Each value is written as its ``repr``, the shortest string that reads
+    back to the same float.
+    """
     with open(path, "w", newline="") as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(list(data.variable_names) + ["split"])
-        tags = np.where(data.test_mask, TEST, TRAIN)
-        for row, tag in zip(data.values, tags):
-            writer.writerow([repr(float(v)) for v in row] + [str(tag)])
+        csv.writer(fp, lineterminator="\n").writerow(list(data.variable_names) + ["split"])
+        for start in range(0, data.n, _SAVE_CHUNK_ROWS):
+            chunk = slice(start, start + _SAVE_CHUNK_ROWS)
+            columns = [map(repr, column) for column in data.values[chunk].T.tolist()]
+            tags = np.where(data.test_mask[chunk], TEST + "\n", TRAIN + "\n").tolist()
+            fp.write("".join(map(",".join, zip(*columns, tags))))
 
 
 def canonical_names(names) -> tuple[str, ...]:

@@ -130,8 +130,7 @@ def sample_scm(
     depend on how the topological sort broke ties. The train/test split
     comes from the same seed on an independent stream.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    mask = holdout_mask_from_seed(n, test_fraction, seed)
     if target is None:
         target = "Y" if "Y" in graph.nodes else graph.nodes[-1]
     k = len(graph.nodes)
@@ -144,7 +143,6 @@ def sample_scm(
         for e in graph.parents_of(name):
             col = col + e.coefficient * values[:, graph.node_index(e.parent)]
         values[:, i] = col
-    mask = holdout_mask_from_seed(n, test_fraction, seed)
     return Dataset(graph.nodes, values, target, mask)
 
 

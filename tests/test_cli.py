@@ -616,6 +616,15 @@ class TestMainVerbs:
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
         assert not Path(out).exists()
 
+    def test_fit_split_column_is_checked_as_the_config_key(self, tmp_path, capsys):
+        csv_path, out = str(tmp_path / "d.csv"), str(tmp_path / "m.yaml")
+        assert main(["simulate", "experiment_b", "--n", "100", "--out", csv_path]) == 0
+        capsys.readouterr()
+        assert main(["fit", csv_path, "--target", "Y", "--split-column", "part",
+                     "--out", out]) == 2
+        assert capsys.readouterr().err == "config error: data.split_column: no column 'part'\n"
+        assert not Path(out).exists()
+
     def test_simulate_round_trip(self, tmp_path):
         out = tmp_path / "sim.csv"
         assert main(["simulate", "experiment_b", "--n", "50", "--seed", "1",

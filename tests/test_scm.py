@@ -185,6 +185,11 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_scm(builtin_experiment_a(), 0, seed=0)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_rows_refused(self, n):
+        with pytest.raises(ValueError, match="need at least 2 rows to split"):
+            sample_scm(builtin_experiment_a(), n, seed=0)
+
 
 class TestSerialization:
     def test_mapping_round_trip(self):
