@@ -20,7 +20,6 @@ fit, a singular covariance, no test rows, the ratio form on a perfect fit).
 from __future__ import annotations
 
 import argparse
-import csv as _csv
 import dataclasses
 import hashlib
 import json
@@ -43,6 +42,7 @@ from .core import (
     TRAIN,
     Dataset,
     InvalidPartitionError,
+    SchemaError,
     canonical_names,
     check_partition,
     csv_header,
@@ -330,7 +330,7 @@ def _read(key: str, read: Callable, *args):
         return read(*args)
     except FileNotFoundError:
         raise ConfigError(f"{key}: no file {args[0]!r}") from None
-    except (OSError, ValueError, TypeError, _csv.Error) as exc:  # GraphError, SchemaError too
+    except (OSError, ValueError, TypeError) as exc:  # GraphError, SchemaError too
         raise ConfigError(f"{key}: {exc}") from None
 
 
@@ -717,7 +717,10 @@ def _cmd_simulate(args) -> int:
     if args.target is not None and (problems := _unknown_names(graph.nodes, args.target)):
         raise ConfigError(problems[0])
     data = _read("graph", sample_scm, graph, args.n, args.seed, args.target, args.test_fraction)
-    save_csv(data, args.out)
+    try:
+        save_csv(data, args.out)
+    except SchemaError as exc:  # raised before the file is opened
+        raise ConfigError(f"graph: {exc}") from None
     print(f"wrote {args.out} ({data.n} rows, {len(data.variable_names)} variables)")
     return 0
 

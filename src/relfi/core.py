@@ -130,10 +130,21 @@ def holdout_mask_from_seed(n: int, test_fraction: float, seed: int) -> np.ndarra
     return mask
 
 
+def _records(fp, path):
+    """The records of the CSV file object ``fp``, with a csv module error
+    (such as a field longer than ``csv.field_size_limit()``) raised as a
+    SchemaError naming its line."""
+    reader = csv.reader(fp)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def csv_header(path) -> list[str]:
     """The variable names in the first row of a CSV file, stripped."""
     with open(path, newline="") as fp:
-        header = next(csv.reader(fp), None)
+        header = next(_records(fp, path), None)
     if not header:
         raise SchemaError(f"{path}: empty file")
     return [h.strip() for h in header]
@@ -238,9 +249,9 @@ def _rows_by_line(path, header, split_idx):
     rows: list[list[float]] = []
     tags: list[bool] = []
     with open(path, newline="") as fp:
-        reader = csv.reader(fp)
-        next(reader)  # the header row
-        for lineno, record in enumerate(reader, start=2):
+        records = _records(fp, path)
+        next(records)  # the header row
+        for lineno, record in enumerate(records, start=2):
             if not record:
                 continue
             if len(record) != len(header):
@@ -272,8 +283,11 @@ def save_csv(data: Dataset, path) -> None:
     """Write a dataset back to CSV, with the split as a final column.
 
     Each value is written as its ``repr``, the shortest string that reads
-    back to the same float.
+    back to the same float. A variable named ``split`` is refused before
+    the file is opened: its column could not be told from the split's.
     """
+    if "split" in data.variable_names:
+        raise SchemaError(f"{path}: a variable named 'split' would clash with the split column")
     with open(path, "w", newline="") as fp:
         csv.writer(fp, lineterminator="\n").writerow(list(data.variable_names) + ["split"])
         for start in range(0, data.n, _SAVE_CHUNK_ROWS):

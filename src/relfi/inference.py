@@ -3,7 +3,8 @@
 Both tests consume per-observation loss differences d_i (perturbed minus
 baseline) and ask whether their mean is positive: the paired one-sided t
 test for ordinary sample sizes, and a sign-flip permutation test as the
-exact small-sample analogue.
+exact small-sample analogue, which reads each assignment of signs as one
+bit per difference, packed in 64-bit words.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ SIGN_FLIP = "sign-flip-exact"
 
 DEFAULT_ALPHA = 0.01
 
-# Monte-Carlo sign draws per block of the sign-flip test, so its memory is
-# bounded whatever the number of permutations. Each sign consumes one
-# draw of the generator's stream, so the blocks concatenate to the same
-# signs as one draw of the whole matrix.
+# Monte-Carlo signs per block of the sign-flip test, so its memory is
+# bounded whatever the number of permutations. A block holds whole rows,
+# each drawn as ceil(n / 64) full-range uint64 words; such draws are not
+# buffered, so the blocks concatenate to one draw of the whole matrix.
 _SIGN_BLOCK = 2**20
 
 
@@ -81,6 +82,13 @@ def paired_t_one_sided(differences, alpha: float = DEFAULT_ALPHA) -> TestResult:
     return TestResult(t, p, n, PAIRED_T, alpha)
 
 
+def _hits(words: np.ndarray, d: np.ndarray) -> int:
+    """Rows of ``words`` whose set bits (bit k flips d[k]) pick a sum <= 0 of d."""
+    flips = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1,
+                          count=d.size, bitorder="little")
+    return int(np.count_nonzero(flips @ d <= 0.0))
+
+
 def sign_flip_exact(
     differences,
     max_permutations: int = 2**14,
@@ -91,14 +99,14 @@ def sign_flip_exact(
 
     Every assignment of signs to the differences is equally likely under
     the null of a symmetric zero-centered law; the p-value is the share
-    of assignments whose mean reaches the observed one. Enumeration is
-    exhaustive while 2^n fits in ``max_permutations``, Monte-Carlo with
-    add-one smoothing beyond that; the random signs are drawn in blocks
-    of about ``_SIGN_BLOCK`` entries.
+    of assignments whose mean reaches the observed one: flipping the set F
+    moves the sum from S to S - 2 * sum(d[F]), so those with sum(d[F]) <= 0.
+    Enumeration is exhaustive while 2^n fits in ``max_permutations``;
+    beyond that it is Monte-Carlo with add-one smoothing over rows of
+    ceil(n / 64) random 64-bit words, one bit per sign.
 
-    The differences are sorted (descending) before enumeration so the
-    result depends only on their multiset, keeping the exhaustive test
-    exactly permutation-invariant despite float addition order.
+    The differences are sorted (descending) first, so the result depends
+    exactly on their multiset alone, whatever the float addition order.
     """
     if max_permutations < 1:
         raise ValueError("max_permutations must be >= 1")
@@ -107,22 +115,14 @@ def sign_flip_exact(
     d = np.sort(d)[::-1]
     statistic = float(d.mean())
     if 2**n <= max_permutations:
-        # bit k of the assignment index selects the sign of d[k]
-        assignments = np.arange(2**n, dtype=np.uint64)
-        bits = (assignments[:, None] >> np.arange(n, dtype=np.uint64)) & 1
-        signs = 1.0 - 2.0 * bits
-        sums = signs @ d
-        observed = sums[0]  # index 0 is the all-plus assignment
-        p = float(np.count_nonzero(sums >= observed)) / 2**n
-        return TestResult(statistic, p, n, SIGN_FLIP, alpha)
+        hits = _hits(np.arange(2**n, dtype=np.uint64).reshape(-1, 1), d)
+        return TestResult(statistic, hits / 2**n, n, SIGN_FLIP, alpha)
     rng = np.random.default_rng(seed)
-    observed = np.ones(n) @ d
     block = max(1, _SIGN_BLOCK // n)
     hits = 0
     for start in range(0, max_permutations, block):
         rows = min(block, max_permutations - start)
-        signs = rng.choice((-1.0, 1.0), size=(rows, n))
-        hits += int(np.count_nonzero(signs @ d >= observed))
+        hits += _hits(rng.integers(0, 2**64, size=(rows, (n + 63) // 64), dtype=np.uint64), d)
     p = (1.0 + hits) / (max_permutations + 1.0)
     return TestResult(statistic, p, n, SIGN_FLIP, alpha)
 

@@ -635,6 +635,16 @@ class TestMainVerbs:
         assert np.array_equal(data.values, ref.values)
         assert np.array_equal(data.test_mask, ref.test_mask)
 
+    def test_simulate_node_named_split_is_exit_two(self, tmp_path, capsys):
+        # save_csv appends its own split column, so the file could not be read back
+        graph = graph_to_mapping(builtin_experiment_b())
+        graph["nodes"].append({"name": "split", "noise_scale": 1.0})
+        graph_path, out = tmp_path / "g.yaml", tmp_path / "x.csv"
+        graph_path.write_text(yaml.safe_dump(graph))
+        assert main(["simulate", str(graph_path), "--n", "10", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: graph: ")
+        assert not out.exists()
+
     def test_simulate_unknown_graph_is_exit_two(self, tmp_path, capsys):
         assert main(["simulate", "mystery", "--n", "10",
                      "--out", str(tmp_path / "x.csv")]) == 2

@@ -151,8 +151,22 @@ def test_nul_and_overlong_cells_take_the_line_parser(scratch):
     with pytest.raises(core.SchemaError, match=r"d.csv:2: split must be .* got 'test\\x00'"):
         load_csv(scratch, "y", split_column="split")
     scratch.write_text("y\n1." + "0" * csv.field_size_limit() + "\n2\n")
-    with pytest.raises(csv.Error, match="field larger than field limit"):
+    with pytest.raises(core.SchemaError, match=r"d.csv:2: field larger than field limit"):
         load_csv(scratch, "y")
+
+
+def test_overlong_header_is_a_schema_error(scratch):
+    scratch.write_text("y" + "0" * csv.field_size_limit() + "\n2\n")
+    with pytest.raises(core.SchemaError, match=r"d.csv:1: field larger than field limit"):
+        core.csv_header(scratch)
+
+
+def test_save_refuses_a_variable_named_split_before_opening(scratch):
+    scratch.write_text("kept")
+    data = Dataset(("split", "y"), np.ones((2, 2)), "y", [False, True])
+    with pytest.raises(core.SchemaError, match="variable named 'split'"):
+        save_csv(data, scratch)
+    assert scratch.read_text() == "kept"
 
 
 def _reference_bytes(data: Dataset) -> bytes:

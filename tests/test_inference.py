@@ -130,19 +130,49 @@ class TestSignFlip:
         mc = sign_flip_exact(d, max_permutations=1023, seed=3).p_value
         assert abs(mc - exact) < 0.05
 
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_monte_carlo_within_four_standard_errors_of_exhaustive(self, n):
+        d = np.random.default_rng(n).normal(loc=0.2, size=n)
+        exact = sign_flip_exact(d, max_permutations=2**n).p_value
+        perms = 2**n - 1  # one short of exhaustive: the Monte-Carlo branch
+        se = math.sqrt(exact * (1.0 - exact) / perms)
+        assert 0.05 < exact < 0.95
+        for seed in range(5):
+            mc = sign_flip_exact(d, max_permutations=perms, seed=seed).p_value
+            assert abs(mc - exact) <= 4.0 * se
+
+    def test_monte_carlo_all_zero_is_exactly_one(self):
+        # an identity cell: every flip leaves the sum at zero, so every
+        # assignment reaches it
+        d = np.zeros(500)
+        d[::3] = -0.0
+        assert sign_flip_exact(d).p_value == 1.0
+
+    def test_monte_carlo_permutation_invariance(self):
+        rng = np.random.default_rng(4)
+        d = np.round(rng.normal(loc=0.01, scale=0.1, size=300), 2)
+        base = sign_flip_exact(d, seed=9).p_value
+        for _ in range(5):
+            assert sign_flip_exact(rng.permutation(d), seed=9).p_value == base
+
     @pytest.mark.parametrize("block", [None, 1000, 1])
     def test_monte_carlo_blocks_match_one_shot_draw(self, monkeypatch, block):
-        # blocked sign draws must reproduce the p-value of drawing the whole
-        # sign matrix at once, ties and zeros included
+        # blocked draws must reproduce the p-value of drawing every row's
+        # packed sign bits at once, ties and zeros included: row r flips
+        # d[k] when bit k % 64 of its word k // 64 is set
         if block is not None:
             monkeypatch.setattr(inference, "_SIGN_BLOCK", block)
         rng = np.random.default_rng(11)
-        for n, perms in ((15, 2**14), (40, 2**14), (257, 3001), (1000, 1001)):
+        cases = ((15, 2**14), (40, 2**14), (257, 3001), (1000, 1001), (64, 3001), (65, 3001))
+        for n, perms in cases:
             d = np.round(rng.normal(loc=0.02, scale=0.1, size=n), 2)
             d[: n // 4] = 0.0
-            signs = np.random.default_rng(n).choice((-1.0, 1.0), size=(perms, n))
-            s = np.sort(d)[::-1]
-            hits = np.count_nonzero(signs @ s >= np.ones(n) @ s)
+            words = np.random.default_rng(n).integers(
+                0, 2**64, size=(perms, (n + 63) // 64), dtype=np.uint64
+            )
+            k = np.arange(n)
+            flips = (words[:, k // 64] >> (k % 64).astype(np.uint64)) & np.uint64(1)
+            hits = np.count_nonzero(flips @ np.sort(d)[::-1] <= 0.0)
             expected = (1.0 + hits) / (perms + 1.0)
             assert sign_flip_exact(d, max_permutations=perms, seed=n).p_value == expected
 
