@@ -106,9 +106,11 @@ class Dataset:
         other columns are never copied.
         """
         idx = np.array([self.column_index(n) for n in names], dtype=np.intp)
+        return np.ascontiguousarray(self.values[np.ix_(self._row_index(split), idx)])
+
+    def _row_index(self, split: str | None) -> np.ndarray:
         rows = self._row_selector(split)
-        rows = np.arange(self.n) if isinstance(rows, slice) else np.flatnonzero(rows)
-        return np.ascontiguousarray(self.values[np.ix_(rows, idx)])
+        return np.arange(self.n) if isinstance(rows, slice) else np.flatnonzero(rows)
 
     def column(self, name: str, split: str | None = None) -> np.ndarray:
         return self.values[self._row_selector(split), self.column_index(name)]

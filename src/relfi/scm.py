@@ -127,19 +127,19 @@ def sample_scm(
 
     Noise columns are assigned by node declaration order before any
     structural equation is evaluated, so the draw for a node does not
-    depend on how the topological sort broke ties. The train/test split
-    comes from the same seed on an independent stream.
+    depend on how the topological sort broke ties. The noise is drawn
+    into the array that becomes ``Dataset.values``: each node's value
+    overwrites its own noise column, which no other node reads. The
+    train/test split comes from the same seed on an independent stream.
     """
     mask = holdout_mask_from_seed(n, test_fraction, seed)
     if target is None:
         target = "Y" if "Y" in graph.nodes else graph.nodes[-1]
-    k = len(graph.nodes)
     rng = np.random.default_rng(int(seed))
-    noise = rng.standard_normal((n, k))
-    values = np.empty((n, k))
+    values = rng.standard_normal((n, len(graph.nodes)))
     for name in graph.topological_order:
         i = graph.node_index(name)
-        col = graph.noise_scale[i] * noise[:, i]
+        col = graph.noise_scale[i] * values[:, i]
         for e in graph.parents_of(name):
             col = col + e.coefficient * values[:, graph.node_index(e.parent)]
         values[:, i] = col

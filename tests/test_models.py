@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relfi.core import TEST, TRAIN
+from relfi.core import TEST, TRAIN, Dataset
 from relfi.models import FitError, LinearModel, fit_from_dataset, fit_ols, load_model, save_model
 from relfi.scm import builtin_experiment_a, sample_scm
 
@@ -99,6 +99,33 @@ class TestFitFromDataset:
         data = sample_scm(builtin_experiment_a(), 5000, seed=6)
         m = fit_from_dataset(data, features=("X3", "X4"), split=TRAIN)
         assert m.feature_order == ("X3", "X4")
+
+    @pytest.mark.parametrize("split", [TRAIN, TEST, None])
+    def test_same_bits_as_fit_ols_on_the_gathered_rows(self, split):
+        data = sample_scm(builtin_experiment_a(), 3001, seed=7)
+        for features in (("X1", "X2", "X3", "X4"), ("X4", "X1"), ("X2",)):
+            got = fit_from_dataset(data, features, split)
+            ref = fit_ols(data.matrix(features, split), data.target_values(split), features)
+            assert got.feature_order == ref.feature_order == features
+            assert got.coefficients.tobytes() == ref.coefficients.tobytes()
+            assert repr(got.intercept) == repr(ref.intercept)
+
+    def test_collinear_columns_named_alike_by_both_entry_points(self):
+        rng = np.random.default_rng(5)
+        a, c = rng.normal(size=(2, 60))
+        values = np.column_stack([a, c, 2.0 * a, np.full(60, 3.0), a + c])
+        data = Dataset(("a", "c", "doubled", "const", "y"), values, "y", np.arange(60) % 4 == 0)
+        features = ("a", "c", "doubled", "const")
+        messages = []
+        for fit in (
+            lambda: fit_from_dataset(data, features),
+            lambda: fit_ols(data.matrix(features, TRAIN), data.target_values(TRAIN), features),
+        ):
+            with pytest.raises(FitError, match="rank deficient") as err:
+                fit()
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert "const" in messages[0] or "(intercept)" in messages[0]
 
     def test_target_cannot_be_feature(self):
         data = sample_scm(builtin_experiment_a(), 100, seed=0)

@@ -169,6 +169,27 @@ class TestSampling:
         )
         assert np.max(np.abs(emp - target)) < 5 * se.max()
 
+    def test_same_bits_as_a_separate_noise_block(self):
+        # the reference keeps its noise block beside the values
+        rng = np.random.default_rng(21)
+        order = [f"v{i}" for i in rng.permutation(8)]
+        edges = tuple(
+            Edge(order[i], order[j], float(rng.normal()))
+            for i in range(8) for j in range(i + 1, 8) if rng.random() < 0.4
+        )
+        g = ScmGraph(tuple(f"v{i}" for i in range(8)), tuple(rng.uniform(0.1, 2, 8)), edges)
+        assert g.topological_order != g.nodes
+        data = sample_scm(g, 1001, seed=13)
+        noise = np.random.default_rng(13).standard_normal((1001, 8))
+        values = np.empty((1001, 8))
+        for name in g.topological_order:
+            i = g.node_index(name)
+            col = g.noise_scale[i] * noise[:, i]
+            for e in g.parents_of(name):
+                col = col + e.coefficient * values[:, g.node_index(e.parent)]
+            values[:, i] = col
+        assert data.values.tobytes() == values.tobytes()
+
     def test_deterministic(self):
         g = builtin_experiment_b()
         d1 = sample_scm(g, 500, seed=9)
