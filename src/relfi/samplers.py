@@ -134,8 +134,20 @@ def fit_gaussian(rows: np.ndarray, names, ridge: float | None = None) -> Gaussia
         raise SchemaError("rows must be a matrix with one column per name")
     if rows.shape[0] < 2:
         raise CovarianceError("need at least 2 rows to fit a covariance")
-    cov = np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))
-    return _ridged_joint(names, rows.mean(axis=0), cov, ridge)
+    x = np.array(rows).T  # np.cov's layout: one row per variable
+    mean = x.mean(axis=1)
+    return _ridged_joint(names, mean, _centred_cov(x, mean), ridge)
+
+
+def _centred_cov(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``np.cov`` of the variables in the rows of ``x`` (same bits for two or
+    more), centring ``x`` in place. One variable is reduced by numpy's
+    pairwise sum instead: BLAS splits one long dot product across its
+    threads, so its bits would depend on their number."""
+    x -= mean[:, None]
+    cov = np.dot(x, x.T) if x.shape[0] > 1 else np.sum(x * x, keepdims=True)
+    cov *= np.true_divide(1, x.shape[1] - 1)
+    return cov
 
 
 def _ridged_joint(names, mean, cov, ridge: float | None) -> GaussianJoint:
@@ -280,17 +292,13 @@ SAMPLER_KINDS = ("gaussian", "knockoff")
 def training_moments(data: Dataset, names, features) -> tuple:
     """(names, mean, unridged covariance, {feature: (min, max)}) of the named
     columns on the training rows, with the bounds of the names in ``features``.
-    The covariance repeats ``np.cov`` step for step (same bits) but centres
-    the gathered block in place; below 2 rows it is None."""
+    The covariance is ``_centred_cov``'s on the gathered block (the same bits
+    as ``np.cov`` for two or more columns); below 2 rows it is None."""
     names = tuple(names)
     x = data.matrix(names, TRAIN).T  # np.cov's layout: one row per variable
     bounds = {name: (row.min(), row.max()) for name, row in zip(names, x) if name in features}
-    mean, cov = x.mean(axis=1), None
-    if x.shape[1] > 1:
-        x -= mean[:, None]
-        cov = np.dot(x, x.T)
-        cov *= np.true_divide(1, x.shape[1] - 1)
-    return names, mean, cov, bounds
+    mean = x.mean(axis=1)
+    return names, mean, _centred_cov(x, mean) if x.shape[1] > 1 else None, bounds
 
 
 def shared_moments(data: Dataset, cells):

@@ -3,10 +3,13 @@
 The hashes pin ``results.csv`` and ``figure.svg`` of the bundled
 ``experiment_a`` and ``experiment_b`` configs. Float rendering uses repr,
 so the bytes depend on the exact floating-point results, which can move
-with the Python, numpy or scipy build or the BLAS kernel in use. The
-hashes hold within the environment they were recorded in (Python 3.11.7,
-numpy 2.4.6, scipy 1.17.1); elsewhere a mismatch means the environment
-changed, not necessarily the code.
+with the Python, numpy or scipy build or the BLAS kernel in use. They do
+not depend on the number of workers (both values are run here) or of
+BLAS threads: a one-column variance, whose dot product BLAS would split
+across its threads, is summed by numpy instead.
+The hashes hold within the environment they were recorded in (Python
+3.11.7, numpy 2.4.6, scipy 1.17.1); elsewhere a mismatch means the
+environment changed, not necessarily the code.
 """
 
 import dataclasses
@@ -18,11 +21,11 @@ from relfi.cli import load_config, run_experiment
 
 GOLDEN = {
     "experiment_a": {
-        "results.csv": "90b7f96ad63331e78e0a6f997378b4fd4e6075d0cca6d8cbe7d6562a6dc5eee2",
+        "results.csv": "2df0b68cfd51b54910d0a92439c4225f278d07742a5e75937b0171cb9fc441db",
         "figure.svg": "6d10ff6603ee0d068265d7003b7a9bcbf973acc637e8c77d7d2e89d1aba8500f",
     },
     "experiment_b": {
-        "results.csv": "0c7b7f8bec9a23dc4d4bd8daacd02fb66be1b0224d32ebf85f97581c6a7085e4",
+        "results.csv": "1f78d3ba4da778b73661fe4f73c1492c559196cc847619988f67f920f339c4b4",
         "figure.svg": "1b51ee11f0941e59a50d725f10ade6185a24a4dfe5805fb6d5effe867ca42ca1",
     },
 }

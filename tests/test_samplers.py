@@ -1,5 +1,9 @@
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,6 +439,27 @@ class TestSharedJoint:
             assert arm.perturbed_risks == cell.perturbed_risks
             assert arm.first_differences.tobytes() == cell.first_differences.tobytes()
 
+    def test_empty_g_bits_do_not_depend_on_blas_threads(self):
+        # BLAS splits one long dot product across its threads, so a
+        # one-column variance taken by it would move with their number
+        code = (
+            "from relfi.samplers import fit_gaussian, fit_sampler\n"
+            "from relfi.scm import builtin_experiment_a, sample_scm\n"
+            "data = sample_scm(builtin_experiment_a(), 30_000, seed=4)\n"
+            "s = fit_sampler(data, 'X2', ())\n"
+            "joint = fit_gaussian(data.matrix(('X2',), 'train'), ('X2',))\n"
+            "print(repr((s.intercept, s.scale, joint.covariance.tobytes())))\n"
+        )
+        src = str(Path(samplers.__file__).parents[1])
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src),
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert outputs[0] and outputs[0] == outputs[1]
+
     def test_moments_repeat_numpy_cov(self):
         rng = np.random.default_rng(8)
         for n, k in [(2, 1), (3, 4), (1_001, 1), (20_003, 6)]:
@@ -445,7 +470,12 @@ class TestSharedJoint:
             got, mean, cov, bounds = training_moments(data, names[:-1], ("V0", "Y"))
             assert got == names[:-1]
             assert mean.tobytes() == rows.mean(axis=0).tobytes()
-            assert cov.tobytes() == np.atleast_2d(np.cov(rows, rowvar=False)).tobytes()
+            if k == 1:  # numpy's pairwise sum, not BLAS's dot
+                centred = rows[:, 0] - rows[:, 0].mean()
+                ref = np.sum(centred * centred, keepdims=True)[:, None] * np.true_divide(1, n - 1)
+            else:
+                ref = np.cov(rows, rowvar=False)
+            assert cov.tobytes() == ref.tobytes()
             assert bounds == {"V0": (rows[:, 0].min(), rows[:, 0].max())}
 
     def test_run_fits_one_joint_across_workers(self, tmp_path, monkeypatch):
