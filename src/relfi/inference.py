@@ -20,10 +20,11 @@ SIGN_FLIP = "sign-flip-exact"
 
 DEFAULT_ALPHA = 0.01
 
-# Monte-Carlo signs per block of the sign-flip test, so its memory is
-# bounded whatever the number of permutations. A block holds whole rows,
-# each drawn as ceil(n / 64) full-range uint64 words; such draws are not
-# buffered, so the blocks concatenate to one draw of the whole matrix.
+# Signs per block of the sign-flip test, so its memory is bounded whatever
+# the number of permutations. A block holds whole rows: enumerated
+# assignments, or Monte-Carlo ones each drawn as ceil(n / 64) full-range
+# uint64 words; such draws are not buffered, so the blocks concatenate to
+# one draw of the whole matrix.
 _SIGN_BLOCK = 2**20
 
 
@@ -103,7 +104,8 @@ def sign_flip_exact(
     moves the sum from S to S - 2 * sum(d[F]), so those with sum(d[F]) <= 0.
     Enumeration is exhaustive while 2^n fits in ``max_permutations``;
     beyond that it is Monte-Carlo with add-one smoothing over rows of
-    ceil(n / 64) random 64-bit words, one bit per sign.
+    ceil(n / 64) random 64-bit words, one bit per sign. Either way the
+    assignments are taken in blocks of about ``_SIGN_BLOCK`` signs.
 
     The differences are sorted (descending) first, so the result depends
     exactly on their multiset alone, whatever the float addition order.
@@ -113,18 +115,20 @@ def sign_flip_exact(
     d = _as_differences(differences, 1)
     n = d.size
     d = np.sort(d)[::-1]
-    statistic = float(d.mean())
-    if 2**n <= max_permutations:
-        hits = _hits(np.arange(2**n, dtype=np.uint64).reshape(-1, 1), d)
-        return TestResult(statistic, hits / 2**n, n, SIGN_FLIP, alpha)
+    exhaustive = 2**n <= max_permutations
+    total = 2**n if exhaustive else max_permutations
     rng = np.random.default_rng(seed)
     block = max(1, _SIGN_BLOCK // n)
     hits = 0
-    for start in range(0, max_permutations, block):
-        rows = min(block, max_permutations - start)
-        hits += _hits(rng.integers(0, 2**64, size=(rows, (n + 63) // 64), dtype=np.uint64), d)
-    p = (1.0 + hits) / (max_permutations + 1.0)
-    return TestResult(statistic, p, n, SIGN_FLIP, alpha)
+    for start in range(0, total, block):
+        stop = min(start + block, total)
+        hits += _hits(
+            np.arange(start, stop, dtype=np.uint64).reshape(-1, 1) if exhaustive
+            else rng.integers(0, 2**64, size=(stop - start, (n + 63) // 64), dtype=np.uint64),
+            d,
+        )
+    p = hits / total if exhaustive else (1.0 + hits) / (total + 1.0)
+    return TestResult(float(d.mean()), p, n, SIGN_FLIP, alpha)
 
 
 def confidence_interval(differences, level: float = 0.95) -> tuple[float, float]:
@@ -141,12 +145,15 @@ def confidence_interval(differences, level: float = 0.95) -> tuple[float, float]
     return (mean - half, mean + half)
 
 
-# the config names of the tests; the first is the default
-_TESTS = {"paired-t": paired_t_one_sided, "sign-flip": sign_flip_exact}
+# the config names of the tests, the first the default, and the module
+# attributes that hold them
+_TESTS = {"paired-t": "paired_t_one_sided", "sign-flip": "sign_flip_exact"}
 TEST_KINDS = tuple(_TESTS)
 
 
 def get_test(kind: str):
+    """The test named ``kind``, as this module binds it when called (so a
+    function patched in over it, such as a tracing wrapper, is returned)."""
     if kind not in _TESTS:
         raise ValueError(f"unknown test kind {kind!r}; available: {', '.join(TEST_KINDS)}")
-    return _TESTS[kind]
+    return globals()[_TESTS[kind]]

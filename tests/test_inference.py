@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from relfi import inference
+from relfi.cli import load_config, run_experiment
 from relfi.inference import (
     PAIRED_T,
     SIGN_FLIP,
@@ -175,6 +178,24 @@ class TestSignFlip:
             hits = np.count_nonzero(flips @ np.sort(d)[::-1] <= 0.0)
             expected = (1.0 + hits) / (perms + 1.0)
             assert sign_flip_exact(d, max_permutations=perms, seed=n).p_value == expected
+        # exhaustive: row r of the enumeration flips d[k] when bit k of r is set
+        for n in (1, 5, 13, 14):
+            d = np.round(rng.normal(loc=0.02, scale=0.1, size=n), 2)
+            d[: n // 3] = 0.0
+            k = np.arange(n)
+            flips = (np.arange(2**n)[:, None] >> k) & 1
+            expected = np.count_nonzero(flips @ np.sort(d)[::-1] <= 0.0) / 2**n
+            assert sign_flip_exact(d, max_permutations=2**14).p_value == expected
+
+    def test_exhaustive_memory_is_bounded(self):
+        d = np.random.default_rng(4).normal(size=20)
+        tracemalloc.start()
+        try:
+            sign_flip_exact(d, max_permutations=2**20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
     def test_needs_one_observation(self):
         with pytest.raises(InsufficientDataError):
@@ -232,3 +253,18 @@ class TestResultAndRegistry:
         assert get_test("sign-flip") is sign_flip_exact
         with pytest.raises(ValueError, match="unknown test"):
             get_test("bootstrap")
+
+    def test_run_calls_the_test_the_module_binds(self, tmp_path, monkeypatch):
+        # a tracer rebinds module attributes; a run must reach its wrapper
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return paired_t_one_sided(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "paired_t_one_sided", counting)
+        config = dataclasses.replace(
+            load_config("experiment_b"), data_n=2_000, replications=2, output=str(tmp_path)
+        )
+        rows = run_experiment(config, workers=2).rows
+        assert len(calls) == rows == 6
