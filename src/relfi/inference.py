@@ -122,11 +122,9 @@ def sign_flip_exact(
     hits = 0
     for start in range(0, total, block):
         stop = min(start + block, total)
-        hits += _hits(
-            np.arange(start, stop, dtype=np.uint64).reshape(-1, 1) if exhaustive
-            else rng.integers(0, 2**64, size=(stop - start, (n + 63) // 64), dtype=np.uint64),
-            d,
-        )
+        words = (np.arange(start, stop, dtype=np.uint64)[:, None] if exhaustive else
+                 rng.integers(0, 2**64, size=(stop - start, (n + 63) // 64), dtype=np.uint64))
+        hits += _hits(words, d)
     p = hits / total if exhaustive else (1.0 + hits) / (total + 1.0)
     return TestResult(float(d.mean()), p, n, SIGN_FLIP, alpha)
 
@@ -145,15 +143,13 @@ def confidence_interval(differences, level: float = 0.95) -> tuple[float, float]
     return (mean - half, mean + half)
 
 
-# the config names of the tests, the first the default, and the module
-# attributes that hold them
+# the config names of the tests (the first is the default) and the module
+# attributes get_test reads per call, so a patched-in wrapper is returned
 _TESTS = {"paired-t": "paired_t_one_sided", "sign-flip": "sign_flip_exact"}
 TEST_KINDS = tuple(_TESTS)
 
 
 def get_test(kind: str):
-    """The test named ``kind``, as this module binds it when called (so a
-    function patched in over it, such as a tracing wrapper, is returned)."""
     if kind not in _TESTS:
         raise ValueError(f"unknown test kind {kind!r}; available: {', '.join(TEST_KINDS)}")
     return globals()[_TESTS[kind]]

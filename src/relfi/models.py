@@ -55,11 +55,10 @@ class LinearModel:
 def fit_ols(rows: np.ndarray, targets: np.ndarray, feature_names) -> LinearModel:
     """Least-squares fit of targets on rows plus an intercept column.
 
-    The design matrix (a column of ones, then ``rows``) is built once, in
-    the Fortran order LAPACK works in, and factored with column pivoting
-    in place; any pivot that collapses relative to the largest one marks
-    its column as collinear and the fit is refused with those columns
-    named.
+    The design matrix (ones, then ``rows``) is built once, in the Fortran
+    order LAPACK works in, and factored in place with column pivoting; any
+    pivot that collapses relative to the largest one marks its column as
+    collinear and the fit is refused with those columns named.
     """
     rows = np.asarray(rows, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -69,23 +68,17 @@ def fit_ols(rows: np.ndarray, targets: np.ndarray, feature_names) -> LinearModel
     n, p = rows.shape
     if targets.shape != (n,):
         raise ValueError("targets must be a vector matching the row count")
-    design = _design(n, p)
+    design = np.empty((n, p + 1), order="F")
     design[:, 1:] = rows
     return _fit_design(design, targets, names)
 
 
-def _design(n: int, p: int) -> np.ndarray:
-    """An (n, p + 1) Fortran-ordered design whose first column holds the intercept's ones."""
+def _fit_design(design: np.ndarray, targets: np.ndarray, names: tuple[str, ...]) -> LinearModel:
+    """``fit_ols`` on a Fortran-ordered design; sets its column 0 to ones, then overwrites it."""
+    n, p = design.shape[0], len(names)
     if n <= p + 1:
         raise FitError(f"need more than {p + 1} rows to fit {p} features")
-    design = np.empty((n, p + 1), order="F")
     design[:, 0] = 1.0
-    return design
-
-
-def _fit_design(design: np.ndarray, targets: np.ndarray, names: tuple[str, ...]) -> LinearModel:
-    """The fit of ``_design``'s ones and one column per name; overwrites ``design``."""
-    n, p = design.shape[0], len(names)
     q, r, piv = scipy.linalg.qr(design, overwrite_a=True, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = diag[0] * max(n, p + 1) * np.finfo(float).eps
@@ -102,22 +95,17 @@ def _fit_design(design: np.ndarray, targets: np.ndarray, names: tuple[str, ...])
 
 def fit_from_dataset(data: Dataset, features=None, split: str = TRAIN) -> LinearModel:
     """Fit on the dataset's rows; features default to all non-target columns.
-
-    The design is filled column by column straight from the dataset, so
-    the selected rows are gathered once; the fit is ``fit_ols``'s, bit
-    for bit.
-    """
+    The rows are taken once, straight into ``fit_ols``'s design (same bits)."""
     if features is None:
         features = [n for n in data.variable_names if n != data.target_name]
     features = tuple(str(f) for f in features)
     if data.target_name in features:
         raise ValueError("the target cannot be used as a feature")
-    columns = [data.values[:, data.column_index(f)] for f in (data.target_name,) + features]
     rows = data._row_index(split)
-    design = _design(rows.size, len(features))
-    for j, column in enumerate(columns[1:], start=1):
-        np.take(column, rows, out=design[:, j], mode="clip")
-    return _fit_design(design, np.take(columns[0], rows), features)
+    design = np.empty((rows.size, len(features) + 1), order="F")
+    for j, name in enumerate(features, start=1):
+        np.take(data.column(name), rows, out=design[:, j], mode="clip")
+    return _fit_design(design, data.target_values().take(rows), features)
 
 
 def save_model(model: LinearModel, path) -> None:

@@ -134,20 +134,18 @@ def fit_gaussian(rows: np.ndarray, names, ridge: float | None = None) -> Gaussia
         raise SchemaError("rows must be a matrix with one column per name")
     if rows.shape[0] < 2:
         raise CovarianceError("need at least 2 rows to fit a covariance")
-    x = np.array(rows).T  # np.cov's layout: one row per variable
+    return _ridged_joint(names, *_moments(np.array(rows).T), ridge)
+
+
+def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and ``np.cov`` of the variables in the rows of ``x``, centring ``x``
+    in place. One variable is summed pairwise by numpy, not by BLAS, which
+    splits a long dot product across threads, so its bits would vary."""
     mean = x.mean(axis=1)
-    return _ridged_joint(names, mean, _centred_cov(x, mean), ridge)
-
-
-def _centred_cov(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """``np.cov`` of the variables in the rows of ``x`` (same bits for two or
-    more), centring ``x`` in place. One variable is reduced by numpy's
-    pairwise sum instead: BLAS splits one long dot product across its
-    threads, so its bits would depend on their number."""
     x -= mean[:, None]
     cov = np.dot(x, x.T) if x.shape[0] > 1 else np.sum(x * x, keepdims=True)
     cov *= np.true_divide(1, x.shape[1] - 1)
-    return cov
+    return mean, cov
 
 
 def _ridged_joint(names, mean, cov, ridge: float | None) -> GaussianJoint:
@@ -292,13 +290,13 @@ SAMPLER_KINDS = ("gaussian", "knockoff")
 def training_moments(data: Dataset, names, features) -> tuple:
     """(names, mean, unridged covariance, {feature: (min, max)}) of the named
     columns on the training rows, with the bounds of the names in ``features``.
-    The covariance is ``_centred_cov``'s on the gathered block (the same bits
-    as ``np.cov`` for two or more columns); below 2 rows it is None."""
+    The covariance repeats ``np.cov`` step for step (same bits for two or more
+    columns) but centres the gathered block in place; below 2 rows it is None."""
     names = tuple(names)
     x = data.matrix(names, TRAIN).T  # np.cov's layout: one row per variable
     bounds = {name: (row.min(), row.max()) for name, row in zip(names, x) if name in features}
-    mean = x.mean(axis=1)
-    return names, mean, _centred_cov(x, mean) if x.shape[1] > 1 else None, bounds
+    mean, cov = _moments(x) if x.shape[1] > 1 else (x.mean(axis=1), None)
+    return names, mean, cov, bounds
 
 
 def shared_moments(data: Dataset, cells):
