@@ -103,7 +103,7 @@ def fit_from_dataset(data: Dataset, features=None, split: str = TRAIN) -> Linear
         raise ValueError("the target cannot be used as a feature")
     rows = data._row_index(split)
     design = np.empty((rows.size, len(features) + 1), order="F")
-    for j, name in enumerate(features, start=1):
+    for j, name in enumerate(features, start=1):  # rows are in range; "raise" would buffer out
         np.take(data.column(name), rows, out=design[:, j], mode="clip")
     return _fit_design(design, data.target_values().take(rows), features)
 
