@@ -20,7 +20,6 @@ from .core import (
     SquaredError,
     check_partition,
     empirical_risk,
-    get_loss,
     holdout_mask_from_seed,
     load_csv,
     save_csv,
@@ -82,7 +81,6 @@ __all__ = [
     "SquaredError",
     "check_partition",
     "empirical_risk",
-    "get_loss",
     "holdout_mask_from_seed",
     "load_csv",
     "save_csv",

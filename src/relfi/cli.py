@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import html
 import json
 import math
 import os
@@ -37,21 +38,20 @@ from scipy.special import stdtrit
 
 from . import engine
 from .core import (
-    LOSSES,
     TEST,
     TRAIN,
     Dataset,
     InvalidPartitionError,
     SchemaError,
+    SquaredError,
     canonical_names,
     check_partition,
     csv_header,
     empirical_risk,
-    get_loss,
     load_csv,
     save_csv,
 )
-from .inference import DEFAULT_ALPHA, TEST_KINDS, get_test
+from .inference import TEST_KINDS, get_test
 from .models import LinearModel, fit_from_dataset, load_model, save_model
 from .samplers import SAMPLER_KINDS, fit_sampler, shared_moments
 from .scm import BUILTIN_GRAPHS, load_graph, sample_scm
@@ -94,13 +94,11 @@ class ExperimentConfig:
     test_fraction: float = 0.10
     seed: int = 0
     model: str = "ols"
-    loss: str = "squared"
     sampler_kind: str = "gaussian"
     ridge: float | None = None
     replications: int = 30
     form: str = engine.DIFFERENCE
     test_kind: str = TEST_KINDS[0]
-    alpha: float = DEFAULT_ALPHA
 
 
 def _is_number(value, kind=(int, float)) -> bool:
@@ -144,15 +142,12 @@ _KEYS = (
          "must be a number strictly between 0 and 1"),
     _Key("seed", "seed", lambda v: _is_int(v, 0), "must be a non-negative integer"),
     _Key("model", "model", _is_text, "must be 'ols' or a model file path"),
-    _Key("loss", "loss", *_one_of(LOSSES)),
     _Key("sampler.kind", "sampler_kind", *_one_of(SAMPLER_KINDS)),
     _Key("sampler.ridge", "ridge", lambda v: v is None or _is_number(v) and v >= 0,
          "must be null or a number >= 0", float),
     _Key("replications", "replications", lambda v: _is_int(v, 1), "must be an integer >= 1"),
     _Key("form", "form", *_one_of(engine.FORMS)),
     _Key("test.kind", "test_kind", *_one_of(TEST_KINDS)),
-    _Key("test.alpha", "alpha", lambda v: _is_number(v) and 0 < v < 1,
-         "must lie strictly between 0 and 1"),
     _Key("output", "output", _is_text, "must be a non-empty directory path"),
 )
 
@@ -434,11 +429,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     therefore every output byte, does not depend on scheduling. On a
     failing cell the rows completed before it are still written.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     started = time.perf_counter()
     data, model = read_inputs(config)
     if model is None:
         model = fit_from_dataset(data, config.features)
-    loss = get_loss(config.loss)
     test = get_test(config.test_kind)
     cells = _expand_cells(config.jobs)
     os.makedirs(config.output, exist_ok=True)
@@ -446,7 +442,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     svg_path = os.path.join(config.output, "figure.svg")
     manifest_path = os.path.join(config.output, "manifest.yaml")
     context = engine.EvaluationContext(
-        model, loss, data, config.replications, config.seed
+        model, SquaredError(), data, config.replications, config.seed
     )
     if config.form == engine.RATIO:
         engine.check_ratio_baseline(context.baseline_risk, context.ratio_floor)
@@ -459,11 +455,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
 
     def evaluate(cell: tuple[str, tuple[str, ...]]):
         estimate = engine.score_cell(context, *cell, fit)
-        return estimate, test(estimate.first_differences, alpha=config.alpha)
+        return estimate, test(estimate.first_differences)
 
     estimates: list[engine.RfiEstimate] = []
     rows: list[list[str]] = []
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         try:  # map cancels the cells that have not started once one raises
             for estimate, result in pool.map(evaluate, cells):
                 estimates.append(estimate)
@@ -476,9 +472,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
                 f"G={engine.format_conditioning(cond) or '{}'}) failed: {exc}"
             ) from exc
     engine.write_results_csv(csv_path, rows)
-    # titled after the data source, not the output path, so redirecting
-    # the output directory cannot change a single output byte
-    title = config.data_graph or os.path.basename(config.data_csv or "")
+    # titled after the data file's name, not its directory or the output
+    # path, so moving either cannot change a single output byte
+    title = os.path.basename(config.data_graph or config.data_csv)
     svg = render_figure(estimates, config.form, title=title)
     with open(svg_path, "w", newline="") as fp:
         fp.write(svg)
@@ -522,13 +518,8 @@ def render_figure(estimates, form: str = engine.DIFFERENCE, title: str = "") -> 
     in first-appearance order. Rendering is fully deterministic: fixed
     geometry, fixed palette, fixed-precision coordinates.
     """
-    features: list[str] = []
-    cond_labels: list[tuple[str, ...]] = []
-    for est in estimates:
-        if est.feature not in features:
-            features.append(est.feature)
-        if est.conditioning not in cond_labels:
-            cond_labels.append(est.conditioning)
+    features = list(dict.fromkeys(est.feature for est in estimates))
+    cond_labels = list(dict.fromkeys(est.conditioning for est in estimates))
     values = {}
     for est in estimates:
         half = math.nan
@@ -551,37 +542,25 @@ def render_figure(estimates, form: str = engine.DIFFERENCE, title: str = "") -> 
     group_w = len(cond_labels) * (bar_w + bar_gap) - bar_gap + 2 * group_pad
     left, top, plot_h, bottom = 70.0, 46.0, 280.0, 52.0
     plot_w = max(group_w * len(features), 120.0)
-    legend_w = 14 + 8 * max(
-        [len(_cond_text(c)) for c in cond_labels] + [6]
-    )
-    width = left + plot_w + 24 + legend_w + 12
-    height = top + plot_h + bottom
+    legends = ["G = {" + ", ".join(cond) + "}" for cond in cond_labels]
+    legend_w = 14 + 8 * max([len(text) for text in legends] + [6])
+    width, height = f"{left + plot_w + 24 + legend_w + 12:.0f}", f"{top + plot_h + bottom:.0f}"
 
     def y_of(v: float) -> float:
         return top + (hi - v) / (hi - lo) * plot_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
-        f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>',
-        f'<text x="{left:.2f}" y="24" font-family="sans-serif" font-size="15" '
-        f'fill="#222222">Relative feature importance{(" (" + title + ")") if title else ""}</text>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        _rect(0, 0, width, height, "#ffffff"),
+        _text(left, 24, 15, "Relative feature importance" + (f" ({title})" if title else "")),
     ]
     for tick in _nice_ticks(lo, hi):
         y = y_of(tick)
-        out.append(
-            f'<line x1="{left:.2f}" y1="{y:.2f}" x2="{left + plot_w:.2f}" y2="{y:.2f}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{left - 8:.2f}" y="{y + 4:.2f}" font-family="sans-serif" '
-            f'font-size="11" fill="#444444" text-anchor="end">{tick:g}</text>'
-        )
+        out.append(_line(left, y, left + plot_w, y, "#dddddd", 1))
+        out.append(_text(left - 8, y + 4, 11, f"{tick:g}", "#444444", ' text-anchor="end"'))
     y_ref = y_of(reference)
-    out.append(
-        f'<line x1="{left:.2f}" y1="{y_ref:.2f}" x2="{left + plot_w:.2f}" '
-        f'y2="{y_ref:.2f}" stroke="#555555" stroke-width="1.2"/>'
-    )
+    out.append(_line(left, y_ref, left + plot_w, y_ref, "#555555", 1.2))
     for fi, feature in enumerate(features):
         gx = left + fi * group_w + group_pad
         for ci, cond in enumerate(cond_labels):
@@ -590,54 +569,48 @@ def render_figure(estimates, form: str = engine.DIFFERENCE, title: str = "") -> 
             value, half = values[(feature, cond)]
             x = gx + ci * (bar_w + bar_gap)
             y0, y1 = sorted((y_of(value), y_ref))
-            color = _PALETTE[ci % len(_PALETTE)]
-            out.append(
-                f'<rect x="{x:.2f}" y="{y0:.2f}" width="{bar_w:.2f}" '
-                f'height="{max(y1 - y0, 0.5):.2f}" fill="{color}"/>'
-            )
+            out.append(_rect(x, y0, bar_w, max(y1 - y0, 0.5), _PALETTE[ci % len(_PALETTE)]))
             if math.isfinite(half):
                 cx = x + bar_w / 2
                 y_lo, y_hi = y_of(value - half), y_of(value + half)
-                out.append(
-                    f'<line x1="{cx:.2f}" y1="{y_hi:.2f}" x2="{cx:.2f}" '
-                    f'y2="{y_lo:.2f}" stroke="#222222" stroke-width="1.2"/>'
-                )
+                out.append(_line(cx, y_hi, cx, y_lo, "#222222", 1.2))
                 for yy in (y_lo, y_hi):
-                    out.append(
-                        f'<line x1="{cx - 5:.2f}" y1="{yy:.2f}" x2="{cx + 5:.2f}" '
-                        f'y2="{yy:.2f}" stroke="#222222" stroke-width="1.2"/>'
-                    )
-        out.append(
-            f'<text x="{gx + (group_w - 2 * group_pad) / 2:.2f}" '
-            f'y="{top + plot_h + 20:.2f}" font-family="sans-serif" font-size="12" '
-            f'fill="#222222" text-anchor="middle">{feature}</text>'
-        )
-    out.append(
-        f'<line x1="{left:.2f}" y1="{top:.2f}" x2="{left:.2f}" '
-        f'y2="{top + plot_h:.2f}" stroke="#222222" stroke-width="1"/>'
-    )
+                    out.append(_line(cx - 5, yy, cx + 5, yy, "#222222", 1.2))
+        out.append(_text(gx + (group_w - 2 * group_pad) / 2, top + plot_h + 20, 12, feature,
+                         extra=' text-anchor="middle"'))
+    out.append(_line(left, top, left, top + plot_h, "#222222", 1))
     axis_label = "risk difference" if form == engine.DIFFERENCE else "risk ratio"
-    out.append(
-        f'<text x="16" y="{top + plot_h / 2:.2f}" font-family="sans-serif" '
-        f'font-size="12" fill="#222222" '
-        f'transform="rotate(-90 16 {top + plot_h / 2:.2f})" '
-        f'text-anchor="middle">{axis_label}</text>'
-    )
+    y_mid = top + plot_h / 2
+    out.append(_text(16, y_mid, 12, axis_label,
+                     extra=f' transform="rotate(-90 16 {y_mid:.2f})" text-anchor="middle"'))
     lx = left + plot_w + 24
-    for ci, cond in enumerate(cond_labels):
+    for ci, legend in enumerate(legends):
         ly = top + ci * 20
-        color = _PALETTE[ci % len(_PALETTE)]
-        out.append(f'<rect x="{lx:.2f}" y="{ly:.2f}" width="12" height="12" fill="{color}"/>')
-        out.append(
-            f'<text x="{lx + 18:.2f}" y="{ly + 10:.2f}" font-family="sans-serif" '
-            f'font-size="11" fill="#222222">{_cond_text(cond)}</text>'
-        )
+        out.append(_rect(lx, ly, 12, 12, _PALETTE[ci % len(_PALETTE)]))
+        out.append(_text(lx + 18, ly + 10, 11, legend))
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
-def _cond_text(conditioning: tuple[str, ...]) -> str:
-    return "G = {" + ", ".join(conditioning) + "}"
+def _num(value) -> str:
+    """An SVG coordinate: a float to two decimals, an int or a preformatted string as is."""
+    return f"{value:.2f}" if isinstance(value, float) else str(value)
+
+
+def _line(x1, y1, x2, y2, stroke: str, width) -> str:
+    return (f'<line x1="{_num(x1)}" y1="{_num(y1)}" x2="{_num(x2)}" y2="{_num(y2)}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _rect(x, y, width, height, fill: str) -> str:
+    return (f'<rect x="{_num(x)}" y="{_num(y)}" width="{_num(width)}" '
+            f'height="{_num(height)}" fill="{fill}"/>')
+
+
+def _text(x, y, size: int, body: str, fill: str = "#222222", extra: str = "") -> str:
+    """A text element; ``body`` is escaped, so any data name is well-formed XML."""
+    return (f'<text x="{_num(x)}" y="{_num(y)}" font-family="sans-serif" font-size="{size}" '
+            f'fill="{fill}"{extra}>{html.escape(body, quote=False)}</text>')
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -683,6 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError("--jobs: must be an integer >= 1")
     flags = {"output": args.output, "seed": args.seed, "replications": args.replications,
              "sampler.kind": args.sampler, "form": args.form}
     config = load_config(args.config, [(k, v) for k, v in flags.items() if v is not None])
@@ -740,9 +715,8 @@ def _cmd_fit(args) -> int:
     data = _read("csv", load_csv, args.csv, args.target, args.split_column,
                  args.test_fraction, args.seed)
     model = fit_from_dataset(data, features)
-    loss = get_loss("squared")
-    train_risk = empirical_risk(model, data, loss, TRAIN)
-    test_risk = empirical_risk(model, data, loss, TEST)
+    train_risk = empirical_risk(model, data, SquaredError(), TRAIN)
+    test_risk = empirical_risk(model, data, SquaredError(), TEST)
     terms = " + ".join(
         f"{c:.4g}*{n}" for n, c in zip(model.feature_order, model.coefficients)
     )

@@ -371,18 +371,6 @@ class SquaredError:
         return "SquaredError()"
 
 
-LOSSES = {"squared": SquaredError}
-
-
-def get_loss(name: str) -> LossFunction:
-    try:
-        return LOSSES[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown loss {name!r}; available: {', '.join(sorted(LOSSES))}"
-        ) from None
-
-
 def empirical_risk(
     model: PredictiveModel,
     data: Dataset,

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from relfi.cli import (
     ExperimentConfig,
     Job,
     RunError,
+    _KEYS,
     _expand_cells,
     _nice_ticks,
     config_from_mapping,
@@ -62,11 +65,9 @@ class TestConfigParsing:
         config = make_config(tmp_path)
         assert config.test_fraction == 0.10
         assert config.model == "ols"
-        assert config.loss == "squared"
         assert config.sampler_kind == "gaussian"
         assert config.form == "difference"
         assert config.test_kind == "paired-t"
-        assert config.alpha == 0.01
 
     def test_problems_are_batched(self, tmp_path):
         mapping = base_mapping(
@@ -75,12 +76,12 @@ class TestConfigParsing:
             replications=0,
             form="log",
             sampler={"kind": "bootstrap"},
-            test={"kind": "wilcoxon", "alpha": 0.0},
+            test={"kind": "wilcoxon"},
         )
         config, problems = config_from_mapping(mapping)
         assert config is None
         text = "\n".join(problems)
-        for fragment in ("test_fraction", "replications", "form", "sampler.kind", "test.kind", "test.alpha"):
+        for fragment in ("test_fraction", "replications", "form", "sampler.kind", "test.kind"):
             assert fragment in text
 
     def test_unknown_keys_flagged(self, tmp_path):
@@ -162,6 +163,18 @@ class TestConfigParsing:
         assert problems == []
         assert config is not None
 
+    def test_schema_rows_match_fields_and_readme(self):
+        # a key half-removed from the table, the dataclass or the README fails here
+        scalar = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"features", "jobs"}
+        assert sorted(key.field for key in _KEYS) == sorted(scalar)
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"```yaml\n(.*?)```", readme.split("### Config files", 1)[1], re.S)
+        paths, section = set(), ""
+        for indent, name in re.findall(r"^( *)(?:# )?(\w+):", block.group(1), re.M):
+            section = section if indent else name
+            paths.add(f"{section}.{name}" if indent else name)
+        assert {key.path for key in _KEYS} <= paths
+
     def test_bundled_configs_load(self):
         a = load_config("experiment_a")
         assert a.target == "Y"
@@ -187,10 +200,10 @@ class TestConfigHash:
     def test_bundled_hashes_pinned(self):
         # plain JSON of the config: pins the writer's key layout, not numerics
         assert config_hash(load_config("experiment_a")) == (
-            "f203b50a7384aaa42f7138ac6c15e32787d1db12400ee99d43a9fb591dee248f"
+            "6e836a53b5e4a54b94679e3e7c6d96158ec81f34de6393c6e3714ed74ddba585"
         )
         assert config_hash(load_config("experiment_b")) == (
-            "6f500437167d451080f318645f3e9e9bac5f548647be750e1fa39e8909ddf7a0"
+            "facbe95544db6e775671ed2b435b80cdfe547a0f282e868f37e173fc59de6342"
         )
 
 
@@ -304,6 +317,44 @@ class TestRunExperiment:
             a = (tmp_path / "one" / name).read_bytes()
             b = (tmp_path / "two" / name).read_bytes()
             assert a == b
+
+    def test_figure_text_is_escaped(self, tmp_path):
+        rng = np.random.default_rng(3)
+        rows = ["a&b,c<d,y"]
+        for _ in range(200):
+            a, c = rng.normal(size=2).tolist()
+            rows.append(f"{a!r},{a + c!r},{a + c + rng.normal()!r}")
+        csv_path = tmp_path / "p&q.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        config = make_config(
+            tmp_path, data={"csv": str(csv_path)}, target="y", features=["a&b", "c<d"],
+            jobs=[{"feature": "a&b", "conditioning": []},
+                  {"feature": "c<d", "conditioning": ["a&b"]}],
+        )
+        texts = [el.text for el in ET.parse(run_experiment(config).svg_path).iter()]
+        assert "a&b" in texts and "c<d" in texts and "G = {a&b}" in texts
+        assert "Relative feature importance (p&q.csv)" in texts
+
+    @pytest.mark.parametrize("name", ["experiment_a", "experiment_b"])
+    def test_bundled_figures_parse(self, tmp_path, name):
+        config = dataclasses.replace(load_config(name), data_n=2000, replications=3,
+                                     output=str(tmp_path / "out"))
+        root = ET.parse(run_experiment(config).svg_path).getroot()
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
+
+    def test_graph_file_titled_by_basename(self, tmp_path):
+        text = yaml.safe_dump(graph_to_mapping(builtin_experiment_a()))
+        outputs = []
+        for name in ("ga", "gb"):
+            graph_path = tmp_path / name / "g.yaml"
+            graph_path.parent.mkdir()
+            graph_path.write_text(text)
+            config = make_config(tmp_path, data={"graph": str(graph_path), "n": 2000},
+                                 output=str(tmp_path / name / "out"))
+            result = run_experiment(config)
+            outputs.append([Path(p).read_bytes() for p in (result.csv_path, result.svg_path)])
+        assert outputs[0] == outputs[1]
+        assert b"Relative feature importance (g.yaml)" in outputs[0][1]
 
     def test_failed_job_flushes_prefix(self, tmp_path):
         # K has no noise, so without a ridge the X1 | {K} covariance is singular
@@ -480,7 +531,7 @@ class TestMainVerbs:
         assert "rank deficient" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "key", ["data.n", "seed", "replications", "test_fraction", "sampler.ridge", "test.alpha"]
+        "key", ["data.n", "seed", "replications", "test_fraction", "sampler.ridge"]
     )
     def test_boolean_is_not_a_number(self, tmp_path, capsys, key):
         mapping = base_mapping(tmp_path)
@@ -493,6 +544,29 @@ class TestMainVerbs:
         path.write_text(yaml.safe_dump(mapping))
         assert main(["run", str(path)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("retired, message", [
+        ({"loss": "squared"}, "unknown top-level key 'loss'"),
+        ({"test": {"alpha": 0.01}}, "test: unknown keys alpha"),
+    ])
+    def test_retired_keys_refused(self, tmp_path, capsys, retired, message):
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(base_mapping(tmp_path, **retired)))
+        assert main(["run", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_refused(self, tmp_path, capsys, jobs):
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(base_mapping(tmp_path)))
+        assert main(["run", str(path), "--jobs", str(jobs)]) == 2
+        assert "config error: --jobs: must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # refused before the inputs are read: the missing CSV is never reached
+        config = make_config(tmp_path, data={"csv": str(tmp_path / "missing.csv")})
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_experiment(config, workers=jobs)
 
     def test_ratio_form_refused_on_perfect_fit(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

@@ -13,7 +13,6 @@ from relfi.core import (
     SquaredError,
     check_partition,
     empirical_risk,
-    get_loss,
     load_csv,
     save_csv,
     holdout_mask_from_seed,
@@ -283,8 +282,3 @@ class TestLoss:
         out = loss.pointwise(np.array([1.0, -1.0]), np.array([0.0, 1.0]))
         assert np.array_equal(out, np.array([1.0, 4.0]))
         assert np.array_equal(loss.pointwise(np.array([2.0]), np.array([2.0])), [0.0])
-
-    def test_registry(self):
-        assert get_loss("squared").name == "squared"
-        with pytest.raises(ValueError, match="unknown loss"):
-            get_loss("absolute")
