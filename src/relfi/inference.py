@@ -4,7 +4,9 @@ Both tests consume per-observation loss differences d_i (perturbed minus
 baseline) and ask whether their mean is positive: the paired one-sided t
 test for ordinary sample sizes, and a sign-flip permutation test as the
 exact small-sample analogue, which reads each assignment of signs as one
-bit per difference, packed in 64-bit words.
+bit per difference, packed in 64-bit words. It adds up each assignment
+from per-byte tables of subset sums (256 B per difference) rather than a
+BLAS product, and its count is exact in the arithmetic of the given doubles.
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ SIGN_FLIP = "sign-flip-exact"
 
 DEFAULT_ALPHA = 0.01
 
-# Signs per block of the sign-flip test, so its memory is bounded whatever
-# the number of permutations. A block holds whole rows: enumerated
-# assignments, or Monte-Carlo ones each drawn as ceil(n / 64) full-range
-# uint64 words; such draws are not buffered, so the blocks concatenate to
-# one draw of the whole matrix.
+# Bounds a block of the sign-flip test, so its memory is bounded whatever
+# the number of permutations. A block holds whole rows, at most
+# 32 * _SIGN_BLOCK signs in all and _SIGN_BLOCK // min(n, 512) rows, so the
+# index buffer of its 64-byte slices takes at most _SIGN_BLOCK bytes: rows
+# of enumerated assignments, or Monte-Carlo ones each drawn as ceil(n / 64)
+# full-range uint64 words; such draws are not buffered, so the blocks
+# concatenate to one draw of the whole matrix.
 _SIGN_BLOCK = 2**20
 
 
@@ -59,6 +63,10 @@ def _as_differences(differences, minimum: int) -> np.ndarray:
         )
     if not np.isfinite(d).all():
         raise ValueError("loss differences must be finite")
+    with np.errstate(over="ignore"):
+        squares = float(d @ d)
+    if not math.isfinite(squares):
+        raise ValueError("the sum of squared loss differences must be finite")
     return d
 
 
@@ -83,11 +91,36 @@ def paired_t_one_sided(differences, alpha: float = DEFAULT_ALPHA) -> TestResult:
     return TestResult(t, p, n, PAIRED_T, alpha)
 
 
-def _hits(words: np.ndarray, d: np.ndarray) -> int:
-    """Rows of ``words`` whose set bits (bit k flips d[k]) pick a sum <= 0 of d."""
-    flips = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1,
-                          count=d.size, bitorder="little")
-    return int(np.count_nonzero(flips @ d <= 0.0))
+def _hits(blocks, rows: int, d: np.ndarray) -> int:
+    """Rows of the word ``blocks`` whose set bits (bit k flips d[k]) pick a sum <= 0 of d.
+
+    ``table[b, v]`` sums d[8b + k] over the set bits k of byte v, so a row's
+    sum gathers ``table[b, byte b]`` over its first len(table) little-endian
+    bytes, 64 of them (128 KB of table) at a time, through one index buffer
+    for ``rows`` rows (a fresh index array per block costs page faults). In
+    any addition order that sum lies within ``tol`` of the exact one, so rows
+    that close to 0 are summed again by math.fsum, whose sign is exact (if
+    ``tol`` underflows to 0, every sum is exact).
+    """
+    table = np.zeros(((d.size + 7) // 8, 256))
+    padded = np.concatenate([d, np.zeros(8 * len(table) - d.size)])
+    for k in range(8):
+        np.add(table[:, : 1 << k], padded[k::8, None], out=table[:, 1 << k : 2 << k])
+    tol = 2.0 * d.size * np.finfo(float).eps * float(np.abs(d).sum())
+    index, offsets = np.empty(rows * min(len(table), 64), np.intp), np.arange(0, 256 * 64, 256)
+    hits = 0
+    for words in blocks:
+        data = words.astype("<u8", copy=False).view(np.uint8)[:, : len(table)]
+        sums = np.zeros(len(data))
+        for b in range(0, len(table), 64):
+            part = data[:, b : b + 64]
+            at = np.add(part, offsets[: part.shape[1]], out=index[: part.size].reshape(part.shape))
+            sums += table[b : b + 64].ravel().take(at).sum(axis=1)
+        near = np.abs(sums) <= tol
+        hits += int(np.count_nonzero(sums < -tol))
+        flips = np.unpackbits(data[near], axis=1, count=d.size, bitorder="little").view(bool)
+        hits += sum(math.fsum(d[f]) <= 0.0 for f in flips)
+    return hits
 
 
 def sign_flip_exact(
@@ -105,26 +138,30 @@ def sign_flip_exact(
     Enumeration is exhaustive while 2^n fits in ``max_permutations``;
     beyond that it is Monte-Carlo with add-one smoothing over rows of
     ceil(n / 64) random 64-bit words, one bit per sign. Either way the
-    assignments are taken in blocks of about ``_SIGN_BLOCK`` signs.
+    assignments are taken in blocks (see ``_SIGN_BLOCK``).
 
-    The differences are sorted (descending) first, so the result depends
-    exactly on their multiset alone, whatever the float addition order.
+    Each sum(d[F]) adds entries of per-byte subset-sum tables, built once
+    per call at 256 B per difference, with no BLAS call. Its sign, so the
+    count, is exact in the arithmetic of the given doubles: exact ties
+    count as reaching the observed mean. The differences are sorted
+    (descending) first, so the bits map to the same differences whatever
+    the input order.
     """
-    if max_permutations < 1:
-        raise ValueError("max_permutations must be >= 1")
+    if (isinstance(max_permutations, bool) or not isinstance(max_permutations, (int, np.integer))
+            or max_permutations < 1):
+        raise ValueError("max_permutations must be an integer >= 1")
     d = _as_differences(differences, 1)
     n = d.size
     d = np.sort(d)[::-1]
     exhaustive = 2**n <= max_permutations
     total = 2**n if exhaustive else max_permutations
     rng = np.random.default_rng(seed)
-    block = max(1, _SIGN_BLOCK // n)
-    hits = 0
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        words = (np.arange(start, stop, dtype=np.uint64)[:, None] if exhaustive else
-                 rng.integers(0, 2**64, size=(stop - start, (n + 63) // 64), dtype=np.uint64))
-        hits += _hits(words, d)
+    block = max(1, min(32 * _SIGN_BLOCK // n, _SIGN_BLOCK // min(n, 512)))
+    blocks = (np.arange(start, min(start + block, total), dtype=np.uint64)[:, None] if exhaustive
+              else rng.integers(0, 2**64, size=(min(block, total - start), (n + 63) // 64),
+                                dtype=np.uint64)
+              for start in range(0, total, block))
+    hits = _hits(blocks, block, d) if d.any() else total  # all zero: every sum ties at 0
     p = hits / total if exhaustive else (1.0 + hits) / (total + 1.0)
     return TestResult(float(d.mean()), p, n, SIGN_FLIP, alpha)
 

@@ -2,9 +2,12 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relfi import inference
 from relfi.cli import load_config, run_experiment
@@ -18,6 +21,18 @@ from relfi.inference import (
     sign_flip_exact,
 )
 from relfi.inference import TestResult as Result
+
+PROFILE = settings(derandomize=True, database=None, deadline=None)
+# tenths and signed zeros: exact ties are common, and float sums of tenths
+# land on either side of them
+TIED = st.sampled_from([k / 10 for k in range(-9, 10)] + [-0.0])
+
+
+def exact_hits(d, flips) -> int:
+    """Rows of the 0/1 ``flips`` (bit k flips the k-th largest of d) with sum(d[F]) <= 0, in Fractions."""
+    ordered = [Fraction(x) for x in sorted(d, reverse=True)]
+    return sum(sum((x for x, f in zip(ordered, row) if f), Fraction(0)) <= 0 for row in flips.tolist())
+
 
 # Hand-worked oracle for d = (1, 2, 3): mean 2, sd 1, t = 2 * sqrt(3).
 # With 2 degrees of freedom the upper tail has the closed form
@@ -162,7 +177,8 @@ class TestSignFlip:
     def test_monte_carlo_blocks_match_one_shot_draw(self, monkeypatch, block):
         # blocked draws must reproduce the p-value of drawing every row's
         # packed sign bits at once, ties and zeros included: row r flips
-        # d[k] when bit k % 64 of its word k // 64 is set
+        # d[k] when bit k % 64 of its word k // 64 is set; each row's sum is
+        # judged by math.fsum, so exact ties count as hits
         if block is not None:
             monkeypatch.setattr(inference, "_SIGN_BLOCK", block)
         rng = np.random.default_rng(11)
@@ -175,7 +191,8 @@ class TestSignFlip:
             )
             k = np.arange(n)
             flips = (words[:, k // 64] >> (k % 64).astype(np.uint64)) & np.uint64(1)
-            hits = np.count_nonzero(flips @ np.sort(d)[::-1] <= 0.0)
+            ordered = np.sort(d)[::-1]
+            hits = sum(math.fsum(ordered[row == 1]) <= 0.0 for row in flips)
             expected = (1.0 + hits) / (perms + 1.0)
             assert sign_flip_exact(d, max_permutations=perms, seed=n).p_value == expected
         # exhaustive: row r of the enumeration flips d[k] when bit k of r is set
@@ -184,7 +201,8 @@ class TestSignFlip:
             d[: n // 3] = 0.0
             k = np.arange(n)
             flips = (np.arange(2**n)[:, None] >> k) & 1
-            expected = np.count_nonzero(flips @ np.sort(d)[::-1] <= 0.0) / 2**n
+            ordered = np.sort(d)[::-1]
+            expected = sum(math.fsum(ordered[row == 1]) <= 0.0 for row in flips) / 2**n
             assert sign_flip_exact(d, max_permutations=2**14).p_value == expected
 
     def test_exhaustive_memory_is_bounded(self):
@@ -202,6 +220,52 @@ class TestSignFlip:
             sign_flip_exact([])
         with pytest.raises(ValueError):
             sign_flip_exact([1.0], max_permutations=0)
+
+    @pytest.mark.parametrize("perms", [1e4, True, "16", 0, -3])
+    def test_max_permutations_must_be_a_positive_integer(self, perms):
+        with pytest.raises(ValueError, match="max_permutations must be an integer >= 1"):
+            sign_flip_exact([1.0, 2.0], max_permutations=perms)
+        assert sign_flip_exact([1.0, 2.0], max_permutations=np.int64(4)).p_value == 0.25
+
+    @settings(PROFILE, max_examples=60)
+    @given(d=st.lists(TIED, min_size=1, max_size=12))
+    @example(d=[5e-324, -5e-324, 5e-324, 1e-310, -3e-310])  # tol underflows to 0
+    def test_exhaustive_p_value_is_exact(self, d):
+        n = len(d)
+        flips = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+        assert sign_flip_exact(d, max_permutations=2**12).p_value == exact_hits(d, flips) / 2**n
+
+    @settings(PROFILE, max_examples=40)
+    @given(d=st.lists(TIED, min_size=13, max_size=80), perms=st.integers(1, 400),
+           seed=st.integers(0, 2**32 - 1))
+    def test_monte_carlo_p_value_is_exact(self, d, perms, seed):
+        # the words are rebuilt as in test_monte_carlo_blocks_match_one_shot_draw
+        n = len(d)
+        words = np.random.default_rng(seed).integers(
+            0, 2**64, size=(perms, (n + 63) // 64), dtype=np.uint64
+        )
+        k = np.arange(n)
+        flips = (words[:, k // 64] >> (k % 64).astype(np.uint64)) & np.uint64(1)
+        expected = (1.0 + exact_hits(d, flips)) / (perms + 1.0)
+        assert sign_flip_exact(d, max_permutations=perms, seed=seed).p_value == expected
+
+    def test_large_n_memory_is_bounded(self):
+        # the subset-sum tables take 256 B per difference, 25.6 MB here
+        d = np.random.default_rng(6).normal(size=100_000)
+        tracemalloc.start()
+        try:
+            sign_flip_exact(d, max_permutations=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
+
+
+@pytest.mark.parametrize("test", [paired_t_one_sided, sign_flip_exact, confidence_interval])
+def test_overflowing_differences_are_refused(test):
+    # each difference is finite, but their squares sum past the largest double
+    with pytest.raises(ValueError, match="sum of squared loss differences must be finite"):
+        test([1e308, 1e308, -1e308, 5.0])
 
 
 class TestConfidenceInterval:
