@@ -25,6 +25,10 @@ Two kinds are provided:
   part of the feature's own value and measures something other than
   importance relative to G.
 
+Every scale decision of a fit (the ridge, the knockoff diagonal, the
+symmetry check) is relative to each variable's own variance, so no draw
+depends on the units a column is recorded in.
+
 A sampler declares ``required_columns`` and is handed only those columns,
 so it never sees the response or the features outside its joint.
 
@@ -43,11 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TEST, TRAIN, Dataset, SchemaError, canonical_names, check_partition
-
-# Cap the equicorrelated diagonal at the correlation-scale value 1.0,
-# the marginal-variance bound from the construction.
-_S_CAP = 1.0
-_PSD_TOL = 1e-8
 
 
 class CovarianceError(RuntimeError):
@@ -73,10 +72,11 @@ class GaussianJoint:
     mean : ndarray, shape (k,)
         Sample mean.
     covariance : ndarray, shape (k, k)
-        Sample covariance (denominator n - 1) plus ``ridge`` times the
-        identity. Positive definite by construction.
+        Sample covariance (denominator n - 1) with each variance inflated
+        by the share ``ridge``. Must be positive definite.
     ridge : float
-        The diagonal inflation that was applied at fit time.
+        The share of each variance added to it at fit time; a zero
+        variance takes that share of the mean variance.
     """
 
     names: tuple[str, ...]
@@ -92,7 +92,8 @@ class GaussianJoint:
         cov = np.asarray(self.covariance, dtype=float)
         if cov.shape != (len(names), len(names)):
             raise SchemaError("covariance shape does not match names")
-        if not np.allclose(cov, cov.T, atol=1e-10, rtol=0):
+        sd = np.sqrt(np.abs(np.diag(cov)))
+        if not np.all(np.abs(cov - cov.T) <= 1e-10 * np.outer(sd, sd)):
             raise CovarianceError("covariance must be symmetric")
         cov = (cov + cov.T) / 2.0
         try:
@@ -115,17 +116,12 @@ class GaussianJoint:
             raise SchemaError(f"joint has no variable named {name!r}") from None
 
 
-def default_ridge(covariance: np.ndarray) -> float:
-    """Trace-scaled diagonal inflation: 1e-8 * tr(S) / k."""
-    k = covariance.shape[0]
-    return 1e-8 * float(np.trace(covariance)) / k
-
-
 def fit_gaussian(rows: np.ndarray, names, ridge: float | None = None) -> GaussianJoint:
     """Fit mean and covariance of the columns in ``rows``.
 
-    ``ridge`` is added to the covariance diagonal; None picks the
-    trace-scaled default, 0.0 disables inflation entirely. The result
+    Each variance is inflated by the share ``ridge`` of itself (None means
+    1e-8, 0.0 none), a zero variance by that share of the mean variance,
+    so the fit does not depend on the units of any column. The result
     must be positive definite or the fit is rejected.
     """
     rows = np.asarray(rows, dtype=float)
@@ -149,12 +145,14 @@ def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ridged_joint(names, mean, cov, ridge: float | None) -> GaussianJoint:
-    """The joint with ``ridge`` added to the diagonal of ``cov``; None: ``default_ridge``."""
-    if ridge is not None and ridge < 0:
-        raise ValueError("ridge must be >= 0")
-    if ridge is None:
-        ridge = default_ridge(cov)
-    return GaussianJoint(names, mean, cov + ridge * np.eye(len(names)), float(ridge))
+    """The joint with each variance of ``cov`` inflated by the share ``ridge``
+    (None: 1e-8) of itself, or of the mean variance where it is zero."""
+    ridge = 1e-8 if ridge is None else ridge
+    if not (np.isfinite(ridge) and ridge >= 0):
+        raise ValueError("ridge must be a finite number >= 0")
+    var = np.diag(cov)
+    var = np.where(var > 0, var, var.mean())
+    return GaussianJoint(names, mean, cov + np.diag(ridge * var), float(ridge))
 
 
 def conditional_gaussian_params(
@@ -242,25 +240,18 @@ class PointMassSampler(_AffineSampler):
 def equicorrelated_knockoff_s(joint: GaussianJoint) -> np.ndarray:
     """Equicorrelated knockoff diagonal ``s``, in covariance units.
 
-    On the correlation scale s = min(2 * lambda_min, 1), rescaled per
-    coordinate by the fitted variances. The implied 2k x 2k joint over
-    (X, knockoff X), [[S_, S_ - S], [S_ - S, S_]] with S_ the fitted
-    covariance and S = diag(s), must be PSD within tolerance; a failed
-    repair raises.
+    With S_ the fitted covariance, C its correlation and D its diagonal,
+    S = diag(s) = s_c D for s_c = min(2 * lambda_min(C), 1), 1 being the
+    marginal-variance cap. The implied 2k x 2k joint over (X, knockoff X),
+    [[S_, S_ - S], [S_ - S, S_]], has the eigenvalues of S and of
+    2 S_ - S = D^1/2 (2 C - s_c I) D^1/2, so it is PSD by construction.
     """
-    cov = joint.covariance
-    sd = np.sqrt(np.diag(cov))
-    corr = cov / np.outer(sd, sd)
-    lam_min = float(np.linalg.eigvalsh(corr)[0])
+    var = joint.covariance.diagonal()
+    sd = np.sqrt(var)
+    lam_min = float(np.linalg.eigvalsh(joint.covariance / np.outer(sd, sd))[0])
     if lam_min <= 0:
         raise KnockoffError("correlation matrix is not positive definite")
-    s = min(2.0 * lam_min, _S_CAP) * np.diag(cov)
-    # eigenvalues of the 2k x 2k joint are those of 2*cov - S and of S
-    for _ in range(2):
-        if float(np.linalg.eigvalsh(2.0 * cov - np.diag(s))[0]) >= -_PSD_TOL:
-            return s
-        s = s * (1.0 - 1e-6)
-    raise KnockoffError("knockoff joint is not PSD even after shrinking s")
+    return min(2.0 * lam_min, 1.0) * var
 
 
 def knockoff_sampler(joint: GaussianJoint) -> KnockoffSampler:

@@ -21,11 +21,11 @@ from relfi.cli import load_config, run_experiment
 
 GOLDEN = {
     "experiment_a": {
-        "results.csv": "2df0b68cfd51b54910d0a92439c4225f278d07742a5e75937b0171cb9fc441db",
+        "results.csv": "27e8051e483b6d976983171b579e3251a7833db3b5c6ff72ed76511be14889ab",
         "figure.svg": "6d10ff6603ee0d068265d7003b7a9bcbf973acc637e8c77d7d2e89d1aba8500f",
     },
     "experiment_b": {
-        "results.csv": "1f78d3ba4da778b73661fe4f73c1492c559196cc847619988f67f920f339c4b4",
+        "results.csv": "143dc7144cfc73e8af0c8e2a49ab5e3e25171f3770bdf8b58fb12a39df684d71",
         "figure.svg": "1b51ee11f0941e59a50d725f10ade6185a24a4dfe5805fb6d5effe867ca42ca1",
     },
 }

@@ -21,7 +21,6 @@ from relfi.samplers import (
     PointMassSampler,
     SamplerStateError,
     conditional_gaussian_params,
-    default_ridge,
     equicorrelated_knockoff_s,
     fit_gaussian,
     fit_sampler,
@@ -69,9 +68,22 @@ class TestGaussianJoint:
         joint = fit_gaussian(rows, ("a", "b"), ridge=1e-6)
         assert joint.ridge == 1e-6
 
-    def test_default_ridge_is_trace_scaled(self):
-        assert default_ridge(np.eye(2)) == pytest.approx(1e-8)
-        assert default_ridge(np.diag([4.0, 0.0])) == pytest.approx(2e-8)
+    def test_ridge_is_a_share_of_each_variance(self):
+        cov = np.diag([4.0, 0.0])
+
+        def inflation(ridge):
+            joint = samplers._ridged_joint(("a", "b"), np.zeros(2), cov, ridge)
+            return np.diag(joint.covariance) - np.diag(cov)
+
+        # a zero variance takes the share of the mean variance
+        assert inflation(None) == pytest.approx([4e-8, 2e-8], rel=1e-6)
+        assert inflation(0.5) == pytest.approx([2.0, 1.0], rel=1e-12)
+
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf])
+    def test_ridge_must_be_finite_and_non_negative(self, ridge):
+        rows = np.random.default_rng(0).normal(size=(9, 2))
+        with pytest.raises(ValueError, match="ridge must be a finite number >= 0"):
+            fit_gaussian(rows, ("a", "b"), ridge=ridge)
 
     def test_fit_input_validation(self):
         with pytest.raises(SchemaError):
@@ -84,6 +96,11 @@ class TestGaussianJoint:
     def test_joint_validation(self):
         with pytest.raises(CovarianceError, match="symmetric"):
             GaussianJoint(("a", "b"), np.zeros(2), np.array([[1.0, 0.5], [0.1, 1.0]]), 0.0)
+        # the symmetry check is relative to the variances
+        with pytest.raises(CovarianceError, match="symmetric"):
+            GaussianJoint(("a", "b"), np.zeros(2), np.array([[1e-12, 9e-13], [-9e-13, 1e-12]]), 0.0)
+        large = np.array([[1e12, 5e11], [5e11 * (1 + 1e-15), 1e12]])
+        assert GaussianJoint(("a", "b"), np.zeros(2), large, 0.0).covariance[0, 1] == pytest.approx(5e11)
         with pytest.raises(SchemaError, match="shape"):
             GaussianJoint(("a", "b"), np.zeros(2), np.eye(3), 0.0)
         with pytest.raises(SchemaError, match="unique"):
@@ -270,6 +287,19 @@ class TestKnockoffConstruction:
         joint = fit_gaussian(np.column_stack([x, x]), ("a", "b"), ridge=1e-10)
         s = equicorrelated_knockoff_s(joint)
         assert s.max() < 1e-6
+
+    def test_mixed_scale_joints_are_psd_on_the_correlation_scale(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            k = int(rng.integers(2, 7))
+            rows = rng.normal(size=(int(rng.integers(k + 1, 40)), k)) @ rng.normal(size=(k, k))
+            names = tuple(f"v{j}" for j in range(k))
+            joint = fit_gaussian(rows * 10.0 ** rng.uniform(-3, 6, k), names)
+            assert np.isfinite(knockoff_sampler(joint).scale)
+            var = np.diag(joint.covariance)
+            corr = joint.covariance / np.sqrt(np.outer(var, var))
+            off = corr - np.diag(equicorrelated_knockoff_s(joint) / var)
+            assert np.linalg.eigvalsh(np.block([[corr, off], [off, corr]]))[0] >= -1e-12
 
 
 class TestKnockoffSampler:
@@ -543,3 +573,34 @@ class TestSharedJoint:
             s = fit_sampler(data, "a", conditioning, moments=moments)
             assert isinstance(s, PointMassSampler)
             assert (s.intercept, s.scale) == (1.5, 0.0)
+
+
+class TestUnitFree:
+    @pytest.mark.parametrize("kind", ["gaussian", "knockoff"])
+    def test_rescaling_the_conditioning_column_moves_no_cell(self, kind):
+        data = sample_scm(builtin_experiment_b(), 20000, seed=4)
+        model = fit_from_dataset(data, ("X1", "X2", "X3"))
+        c = data.variable_names.index("C")
+
+        def points(scale):
+            values = data.values.copy()
+            values[:, c] *= scale
+            scaled = Dataset(data.variable_names, values, "Y", data.test_mask)
+            cells = rfi_profile(model, SquaredError(), scaled, model.feature_order, [("C",)],
+                                sampler_factory(scaled, kind), replications=3)
+            return [cell.point for cell in cells]
+
+        unscaled = points(1.0)
+        for scale in (1e3, 1e5, 2.0**17):
+            assert points(scale) == pytest.approx(unscaled, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("value", [2.0, 0.1, 1e-7])
+    def test_constant_conditioning_column_draws_as_the_marginal(self, value):
+        # at 18,000 training rows the mean of 0.1 is not exactly 0.1
+        x = np.random.default_rng(1).normal(size=20000)
+        values = np.column_stack([x, np.full(20000, value), -x])
+        data = Dataset(("a", "b", "Y"), values, "Y", np.arange(20000) >= 18000)
+        marginal = sample_replacement(fit_sampler(data, "a", ()), data, seed=2)
+        for moments in (None, training_moments(data, ("a", "b"), ("a",))):
+            s = fit_sampler(data, "a", ("b",), moments=moments)
+            assert np.abs(sample_replacement(s, data, seed=2) - marginal).max() <= 1e-12
