@@ -48,6 +48,8 @@ from .core import (
     check_partition,
     csv_header,
     empirical_risk,
+    is_name,
+    is_number,
     load_csv,
     save_csv,
 )
@@ -101,13 +103,8 @@ class ExperimentConfig:
     test_kind: str = TEST_KINDS[0]
 
 
-def _is_number(value, kind=(int, float)) -> bool:
-    """Whether a parsed YAML value is a number of ``kind``; booleans are not."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 def _is_int(value, low: int) -> bool:
-    return _is_number(value, int) and value >= low
+    return is_number(value, int) and value >= low
 
 
 def _is_text(value) -> bool:
@@ -138,13 +135,13 @@ _KEYS = (
     _Key("data.csv", "data_csv", _is_text, "must be a CSV file path"),
     _Key("data.split_column", "split_column", _is_text, "must be a column name"),
     _Key("target", "target", _is_text, "must be a non-empty string"),
-    _Key("test_fraction", "test_fraction", lambda v: _is_number(v) and 0 < v < 1,
+    _Key("test_fraction", "test_fraction", lambda v: is_number(v) and 0 < v < 1,
          "must be a number strictly between 0 and 1"),
     _Key("seed", "seed", lambda v: _is_int(v, 0), "must be a non-negative integer"),
     _Key("model", "model", _is_text, "must be 'ols' or a model file path"),
     _Key("sampler.kind", "sampler_kind", *_one_of(SAMPLER_KINDS)),
-    _Key("sampler.ridge", "ridge", lambda v: v is None or _is_number(v) and v >= 0,
-         "must be null or a number >= 0", float),
+    _Key("sampler.ridge", "ridge", lambda v: v is None or is_number(v) and v >= 0,
+         "must be null or a finite number >= 0", float),
     _Key("replications", "replications", lambda v: _is_int(v, 1), "must be an integer >= 1"),
     _Key("form", "form", *_one_of(engine.FORMS)),
     _Key("test.kind", "test_kind", *_one_of(TEST_KINDS)),
@@ -183,7 +180,7 @@ def config_hash(config: ExperimentConfig) -> str:
 def _name_list(raw, where: str, problems: list[str]) -> tuple[str, ...]:
     if raw is None:
         return ()
-    if not isinstance(raw, list) or not all(isinstance(v, (str, int)) for v in raw):
+    if not isinstance(raw, list) or not all(map(is_name, raw)):
         problems.append(f"{where}: expected a list of names")
         return ()
     return tuple(str(v) for v in raw)

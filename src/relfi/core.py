@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from sys import float_info
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -302,6 +303,16 @@ def save_csv(data: Dataset, path) -> None:
 def canonical_names(names) -> tuple[str, ...]:
     """A conditioning set in its one canonical form: distinct names, sorted."""
     return tuple(sorted(str(n) for n in set(names)))
+
+
+def is_number(value, kind=(int, float)) -> bool:
+    """Whether a parsed YAML value is a number of ``kind`` in float range; booleans are not."""
+    return not isinstance(value, bool) and isinstance(value, kind) and abs(value) <= float_info.max
+
+
+def is_name(value) -> bool:
+    """Whether a parsed YAML value can name a variable: a non-empty string or an integer."""
+    return isinstance(value, str) and value != "" or is_number(value, int)
 
 
 def check_partition(

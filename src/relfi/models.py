@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 import yaml
 
-from .core import TRAIN, Dataset
+from .core import TRAIN, Dataset, is_name, is_number
 
 _INTERCEPT = "(intercept)"
 
@@ -132,8 +132,13 @@ def load_model(path) -> LinearModel:
         raise ValueError(
             f"{path}: model file needs exactly the keys features, coefficients, intercept"
         )
-    return LinearModel(
-        tuple(record["features"]),
-        np.asarray(record["coefficients"], dtype=float),
-        float(record["intercept"]),
-    )
+    features, coefficients = record["features"], record["coefficients"]
+    if not (isinstance(features, list) and all(map(is_name, features))):
+        raise ValueError(f"{path}: features must be a list of names")
+    if not (isinstance(coefficients, list) and len(coefficients) == len(features)
+            and all(map(is_number, coefficients))):
+        raise ValueError(f"{path}: coefficients must be a list of numbers, one per feature")
+    if not is_number(record["intercept"]):
+        raise ValueError(f"{path}: intercept must be a number")
+    return LinearModel(tuple(map(str, features)), np.array(coefficients, dtype=float),
+                       float(record["intercept"]))

@@ -75,8 +75,7 @@ class GaussianJoint:
         Sample covariance (denominator n - 1) with each variance inflated
         by the share ``ridge``. Must be positive definite.
     ridge : float
-        The share of each variance added to it at fit time; a zero
-        variance takes that share of the mean variance.
+        The share of each variance added to it at fit time (``fit_gaussian``).
     """
 
     names: tuple[str, ...]
@@ -317,8 +316,9 @@ def fit_sampler(
 
     The joint is fit over the feature plus the conditioning set, which may
     include variables outside the model's feature list. A feature that is
-    constant in training data yields a point-mass sampler. ``moments``, a
-    ``training_moments`` of ``data``, supplies the joint as its block when
+    constant in training data yields a point-mass sampler. ``ridge`` is the
+    share of each variance added to it, as in ``fit_gaussian``. ``moments``,
+    a ``training_moments`` of ``data``, supplies the joint as its block when
     the conditioning set is nonempty and it covers the feature and the set.
     """
     if kind not in SAMPLER_KINDS:

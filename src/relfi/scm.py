@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .core import Dataset, holdout_mask_from_seed
+from .core import Dataset, holdout_mask_from_seed, is_name, is_number
 
 
 class GraphError(ValueError):
@@ -188,32 +188,28 @@ def parse_graph(mapping) -> ScmGraph:
     for item in raw_nodes:
         if not isinstance(item, dict) or "name" not in item:
             raise GraphError("each node needs at least a 'name'")
+        name, scale = item["name"], item.get("noise_scale", 1.0)
         extra = set(item) - {"name", "noise_scale"}
         if extra:
-            raise GraphError(
-                f"node {item.get('name')!r}: unknown keys {', '.join(sorted(extra))}"
-            )
-        names.append(str(item["name"]))
-        try:
-            scales.append(float(item.get("noise_scale", 1.0)))
-        except (TypeError, ValueError):
-            raise GraphError(
-                f"node {item['name']!r}: noise_scale must be a number"
-            ) from None
+            raise GraphError(f"node {name!r}: unknown keys {', '.join(sorted(extra))}")
+        if not is_name(name):
+            raise GraphError(f"node {name!r}: name must be a non-empty string or an integer")
+        if not is_number(scale):
+            raise GraphError(f"node {name!r}: noise_scale must be a finite number")
+        names.append(str(name))
+        scales.append(float(scale))
     edges: list[Edge] = []
     for item in mapping.get("edges") or []:
         if not isinstance(item, dict) or set(item) != {"parent", "child", "coefficient"}:
             raise GraphError(
                 "each edge needs exactly the keys parent, child, coefficient"
             )
-        try:
-            coeff = float(item["coefficient"])
-        except (TypeError, ValueError):
-            raise GraphError(
-                f"edge {item.get('parent')!r} -> {item.get('child')!r}: "
-                "coefficient must be a number"
-            ) from None
-        edges.append(Edge(str(item["parent"]), str(item["child"]), coeff))
+        parent, child, coeff = item["parent"], item["child"], item["coefficient"]
+        if not (is_name(parent) and is_name(child)):
+            raise GraphError(f"edge {parent!r} -> {child!r}: parent and child must be node names")
+        if not is_number(coeff):
+            raise GraphError(f"edge {parent!r} -> {child!r}: coefficient must be a finite number")
+        edges.append(Edge(str(parent), str(child), float(coeff)))
     return ScmGraph(tuple(names), tuple(scales), tuple(edges))
 
 

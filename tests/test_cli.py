@@ -508,6 +508,24 @@ class TestMainVerbs:
         assert capsys.readouterr().err == f"config error: {problems}"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["data.graph", "model"])
+    def test_file_values_follow_the_config_rules(self, tmp_path, capsys, key):
+        path = tmp_path / "input.yaml"
+        if key == "model":
+            path.write_text("features: X1\ncoefficients: [1.0, 2.0]\nintercept: 0.5\n")
+            override = {"model": str(path)}
+        else:
+            graph = graph_to_mapping(builtin_experiment_a())
+            graph["nodes"][0]["noise_scale"] = "1.5"
+            path.write_text(yaml.safe_dump(graph))
+            override = {"data": {"graph": str(path), "n": 100}}
+        config_path = tmp_path / "c.yaml"
+        config_path.write_text(yaml.safe_dump(base_mapping(tmp_path, **override)))
+        assert main(["validate", str(config_path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"{key}: ")
+        assert ("features must be a list" if key == "model" else "noise_scale must be a") in out
+
     def test_validate_ok(self, tmp_path, capsys):
         path = tmp_path / "c.yaml"
         path.write_text(yaml.safe_dump(base_mapping(tmp_path)))
@@ -544,6 +562,35 @@ class TestMainVerbs:
         path.write_text(yaml.safe_dump(mapping))
         assert main(["run", str(path)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_ridge_must_be_finite(self, tmp_path, capsys, value):
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(base_mapping(tmp_path, sampler={"ridge": value})))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == "sampler.ridge: must be null or a finite number >= 0\n"
+
+    @pytest.mark.parametrize("override, message", [
+        ({"features": "X1"}, "features: expected a list of names"),
+        ({"features": ["X1", True]}, "features: expected a list of names"),
+        ({"features": ["X1", None]}, "features: expected a list of names"),
+        ({"jobs": {"feature": "X3"}}, "jobs: expected a list"),
+        ({"jobs": [{"conditioning": []}]}, "jobs[0]: each job needs at least a 'feature'"),
+        ({"jobs": [{"feature": "X3", "given": []}]}, "jobs[0]: unknown keys given"),
+        ({"sampler": 3}, "sampler: expected a mapping"),
+        ({"data": {"graph": "experiment_a"}}, "data.n: required with 'graph'"),
+        ("a directory", "cannot read config"),
+        ("target: [unclosed\n", "not valid YAML"),
+    ])
+    def test_config_refusals(self, tmp_path, override, message):
+        path = tmp_path / "c.yaml"
+        if override == "a directory":
+            path.mkdir()
+        elif isinstance(override, str):
+            path.write_text(override)
+        else:
+            path.write_text(yaml.safe_dump(base_mapping(tmp_path, **override)))
+        assert any(message in problem for problem in validate_config(str(path)))
 
     @pytest.mark.parametrize("retired, message", [
         ({"loss": "squared"}, "unknown top-level key 'loss'"),
@@ -717,6 +764,15 @@ class TestMainVerbs:
         graph_path.write_text(yaml.safe_dump(graph))
         assert main(["simulate", str(graph_path), "--n", "10", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: graph: ")
+        assert not out.exists()
+
+    def test_simulate_graph_values_follow_the_config_rules(self, tmp_path, capsys):
+        graph = graph_to_mapping(builtin_experiment_b())
+        graph["edges"][0]["coefficient"] = True
+        graph_path, out = tmp_path / "g.yaml", tmp_path / "x.csv"
+        graph_path.write_text(yaml.safe_dump(graph))
+        assert main(["simulate", str(graph_path), "--n", "10", "--out", str(out)]) == 2
+        assert "coefficient must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_simulate_unknown_graph_is_exit_two(self, tmp_path, capsys):

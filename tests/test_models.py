@@ -157,6 +157,21 @@ class TestModelFiles:
         with pytest.raises(ValueError):
             load_model(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("features: X1\ncoefficients: [1.0, 2.0]\n", "features must be a list of names"),
+        ("features: [yes]\ncoefficients: [1.0]\n", "features must be a list of names"),
+        ("features: [a]\ncoefficients: [yes]\n", "coefficients must be a list of numbers"),
+        ("features: [a]\ncoefficients: 1.0\n", "coefficients must be a list of numbers"),
+        ("features: [a]\ncoefficients: [1.0, 2.0]\n", "coefficients must be a list of numbers"),
+        (f"features: [a]\ncoefficients: [1{'0' * 400}]\n", "coefficients must be a list of numbers"),
+        ("features: [a]\ncoefficients: [1.0]\nintercept: '0.5'\n", "intercept must be a number"),
+    ])
+    def test_values_must_have_their_types(self, tmp_path, text, message):
+        path = tmp_path / "model.yaml"
+        path.write_text(text if "intercept" in text else text + "intercept: 0.5\n")
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
+
     def test_bad_yaml_rejected(self, tmp_path):
         path = tmp_path / "model.yaml"
         path.write_text("features: [unclosed\n")

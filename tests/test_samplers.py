@@ -80,7 +80,7 @@ class TestGaussianJoint:
         assert inflation(0.5) == pytest.approx([2.0, 1.0], rel=1e-12)
 
     @pytest.mark.parametrize("ridge", [np.nan, np.inf])
-    def test_ridge_must_be_finite_and_non_negative(self, ridge):
+    def test_ridge_must_be_finite(self, ridge):
         rows = np.random.default_rng(0).normal(size=(9, 2))
         with pytest.raises(ValueError, match="ridge must be a finite number >= 0"):
             fit_gaussian(rows, ("a", "b"), ridge=ridge)
@@ -93,14 +93,15 @@ class TestGaussianJoint:
         with pytest.raises(ValueError):
             fit_gaussian(np.random.default_rng(0).normal(size=(9, 1)), ("a",), ridge=-1.0)
 
-    def test_joint_validation(self):
-        with pytest.raises(CovarianceError, match="symmetric"):
-            GaussianJoint(("a", "b"), np.zeros(2), np.array([[1.0, 0.5], [0.1, 1.0]]), 0.0)
-        # the symmetry check is relative to the variances
+    def test_symmetry_check_is_relative_to_the_variances(self):
         with pytest.raises(CovarianceError, match="symmetric"):
             GaussianJoint(("a", "b"), np.zeros(2), np.array([[1e-12, 9e-13], [-9e-13, 1e-12]]), 0.0)
         large = np.array([[1e12, 5e11], [5e11 * (1 + 1e-15), 1e12]])
         assert GaussianJoint(("a", "b"), np.zeros(2), large, 0.0).covariance[0, 1] == pytest.approx(5e11)
+
+    def test_joint_validation(self):
+        with pytest.raises(CovarianceError, match="symmetric"):
+            GaussianJoint(("a", "b"), np.zeros(2), np.array([[1.0, 0.5], [0.1, 1.0]]), 0.0)
         with pytest.raises(SchemaError, match="shape"):
             GaussianJoint(("a", "b"), np.zeros(2), np.eye(3), 0.0)
         with pytest.raises(SchemaError, match="unique"):

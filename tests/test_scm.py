@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,24 @@ class TestSerialization:
                     "edges": [{"parent": "a", "child": "b", "coefficient": "x"}],
                 }
             )
+
+    @pytest.mark.parametrize("node, edge, message", [
+        ({"name": "a", "noise_scale": True}, None, "node 'a': noise_scale must be a finite number"),
+        ({"name": "a", "noise_scale": "1.5"}, None, "node 'a': noise_scale must be a finite number"),
+        ({"name": ["a", "c"]}, None, "node ['a', 'c']: name must be a non-empty string"),
+        ({"name": None}, None, "node None: name must be a non-empty string"),
+        ({"name": ""}, None, "node '': name must be a non-empty string"),
+        ({"name": "a"}, {"parent": "a", "child": "b", "coefficient": True},
+         "edge 'a' -> 'b': coefficient must be a finite number"),
+        ({"name": "a"}, {"parent": "a", "child": "b", "coefficient": "0.5"},
+         "edge 'a' -> 'b': coefficient must be a finite number"),
+        ({"name": "a"}, {"parent": True, "child": "b", "coefficient": 1.0},
+         "edge True -> 'b': parent and child must be node names"),
+    ])
+    def test_parse_refuses_what_a_config_refuses(self, node, edge, message):
+        mapping = {"nodes": [node, {"name": "b"}], "edges": [edge] if edge else []}
+        with pytest.raises(GraphError, match=re.escape(message)):
+            parse_graph(mapping)
 
     def test_load_graph_bad_yaml(self, tmp_path):
         path = tmp_path / "g.yaml"
