@@ -55,7 +55,8 @@ from .core import (
 )
 from .inference import TEST_KINDS, get_test
 from .models import LinearModel, fit_from_dataset, load_model, save_model
-from .samplers import SAMPLER_KINDS, fit_sampler, shared_moments
+# no cli code calls fit_sampler; it stays bound here because bench/test_bench.py reads it
+from .samplers import SAMPLER_KINDS, fit_sampler, sampler_factory
 from .scm import BUILTIN_GRAPHS, load_graph, sample_scm
 
 BUNDLED_CONFIGS = ("experiment_a", "experiment_b")
@@ -444,11 +445,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     if config.form == engine.RATIO:
         engine.check_ratio_baseline(context.baseline_risk, context.ratio_floor)
 
-    moments = shared_moments(data, cells)
-
-    def fit(feature: str, conditioning: tuple[str, ...]):
-        return fit_sampler(data, feature, conditioning, kind=config.sampler_kind,
-                           ridge=config.ridge, moments=moments)
+    fit = sampler_factory(data, config.sampler_kind, config.ridge)
 
     def evaluate(cell: tuple[str, tuple[str, ...]]):
         estimate = engine.score_cell(context, *cell, fit)

@@ -339,8 +339,8 @@ def rfi_profile(
 
     Cells are evaluated in row-major order (features outer). The output
     order, and every estimate in it, is deterministic given the inputs.
-    No training joint is shared between the cells: a joint as wide as the
-    call's cells could move a cell's last bits with the other cells.
+    A ``sampler_factory`` reads every cell with a nonempty G from one joint
+    fitted on the dataset alone, so no cell's bits depend on the others.
     """
     context = EvaluationContext(model, loss, data, replications, base_seed)
     return tuple(

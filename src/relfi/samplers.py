@@ -3,14 +3,14 @@
 The importance engine needs draws of a feature from its conditional law
 given the conditioning set G. Every sampler is built on a Gaussian joint
 of the feature and G fitted to the training rows, and applied to test
-rows. Unless it would be more than twice as wide as the widest cell, the
-cells of one run (``relfi run``) with a nonempty G read their joints as
-blocks of one training joint over the columns those cells name
-(``shared_moments``), fitted once before any cell runs; a cell with an
-empty G always fits its feature's own column.
-On a joint wider than about 5 columns a block can differ from a fit of
-the subset alone in the last bits (at most 1.0e-12 relative per
-parameter over 600 sets on a 13-variable graph).
+rows. A factory (``sampler_factory``, for the library loops and ``relfi
+run`` alike) fits one training joint over every column but the response
+when it is created and reads each sampler with a nonempty G as its block,
+so a cell's bits depend on the dataset, not on the other cells of a call.
+Above ``JOINT_MAX_BYTES`` (64 MiB of training block), and for an empty G
+always, a cell fits its own columns. A block of a joint wider than about
+5 columns can differ from a fit of the subset alone in the last bits (at
+most 1.0e-12 relative per parameter over 600 sets on a 13-variable graph).
 Two kinds are provided:
 
 - direct conditional-Gaussian sampling (the default): exact under the
@@ -42,6 +42,7 @@ one noise block per run and share it between cells.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,6 +277,9 @@ def knockoff_sampler(joint: GaussianJoint) -> KnockoffSampler:
 
 SAMPLER_KINDS = ("gaussian", "knockoff")
 
+# the largest training block (rows x columns x 8 bytes) a factory's joint gathers
+JOINT_MAX_BYTES = 64 * 2**20
+
 
 def training_moments(data: Dataset, names, features) -> tuple:
     """(names, mean, unridged covariance, {feature: (min, max)}) of the named
@@ -287,20 +291,6 @@ def training_moments(data: Dataset, names, features) -> tuple:
     bounds = {name: (row.min(), row.max()) for name, row in zip(names, x) if name in features}
     mean, cov = _moments(x) if x.shape[1] > 1 else (x.mean(axis=1), None)
     return names, mean, cov, bounds
-
-
-def shared_moments(data: Dataset, cells):
-    """The ``training_moments`` over the columns of the (feature, G) cells that
-    fit a conditional (nonempty G without the feature), or None unless it is
-    at most twice as wide as the widest such cell, so that gathering its
-    block takes no more memory than two of theirs."""
-    conditional = [(feature, g) for feature, g in cells if g and feature not in g]
-    named = {name for feature, g in conditional for name in (feature, *g)}
-    columns = [n for n in data.variable_names if n in named and n != data.target_name]
-    widths = [1 + len(set(g)) for _, g in conditional]
-    if not widths or len(columns) > 2 * max(widths):
-        return None
-    return training_moments(data, columns, {feature for feature, _ in conditional})
 
 
 def fit_sampler(
@@ -350,10 +340,21 @@ def fit_sampler(
 
 
 def sampler_factory(data: Dataset, kind: str = "gaussian", ridge: float | None = None):
-    """Bind dataset and options into a (feature, conditioning) -> sampler callable."""
+    """Bind dataset and options into a (feature, conditioning) -> sampler callable.
+
+    Fits the ``training_moments`` over every column but the response on the
+    caller's thread, and reads every sampler with a nonempty G as their
+    block unless their training block exceeds ``JOINT_MAX_BYTES``. Fits run
+    one at a time, so no two cells' own gathered blocks are held at once.
+    """
+    columns = [n for n in data.variable_names if n != data.target_name]
+    fits_cap = data.n_train * len(columns) * 8 <= JOINT_MAX_BYTES
+    joint = training_moments(data, columns, columns) if fits_cap else None
+    lock = threading.Lock()
 
     def factory(feature: str, conditioning) -> _AffineSampler:
-        return fit_sampler(data, feature, conditioning, kind=kind, ridge=ridge)
+        with lock:
+            return fit_sampler(data, feature, conditioning, kind=kind, ridge=ridge, moments=joint)
 
     return factory
 

@@ -173,7 +173,7 @@ def parse_graph(mapping) -> ScmGraph:
         edges:
           - {parent: X1, child: X2, coefficient: 1.0}
 
-    ``edges`` may be omitted for an edgeless graph.
+    ``edges`` may be omitted or null for an edgeless graph.
     """
     if not isinstance(mapping, dict):
         raise GraphError("graph file must be a mapping with a 'nodes' list")
@@ -198,8 +198,10 @@ def parse_graph(mapping) -> ScmGraph:
             raise GraphError(f"node {name!r}: noise_scale must be a finite number")
         names.append(str(name))
         scales.append(float(scale))
-    edges: list[Edge] = []
-    for item in mapping.get("edges") or []:
+    raw_edges, edges = mapping.get("edges"), []
+    if not isinstance(raw_edges, list | None):
+        raise GraphError("'edges' must be a list")
+    for item in raw_edges or []:
         if not isinstance(item, dict) or set(item) != {"parent", "child", "coefficient"}:
             raise GraphError(
                 "each edge needs exactly the keys parent, child, coefficient"

@@ -775,6 +775,13 @@ class TestMainVerbs:
         assert "coefficient must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_simulate_edges_not_a_list_is_exit_two(self, tmp_path, capsys):
+        graph_path, out = tmp_path / "g.yaml", tmp_path / "x.csv"
+        graph_path.write_text("nodes:\n  - {name: a}\n  - {name: b}\nedges: 5\n")
+        assert main(["simulate", str(graph_path), "--n", "10", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: graph: 'edges' must be a list\n"
+        assert not out.exists()
+
     def test_simulate_unknown_graph_is_exit_two(self, tmp_path, capsys):
         assert main(["simulate", "mystery", "--n", "10",
                      "--out", str(tmp_path / "x.csv")]) == 2

@@ -3,6 +3,8 @@ import itertools
 import os
 import subprocess
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from relfi import samplers
 from relfi.cli import load_config, run_experiment
 from relfi.core import TEST, TRAIN, Dataset, SchemaError, SquaredError
-from relfi.engine import compute_delta_rfi, rfi_profile
+from relfi.engine import compute_delta_rfi, compute_rfi, rfi_profile
 from relfi.models import fit_from_dataset
 from relfi.samplers import (
     CovarianceError,
@@ -27,7 +29,6 @@ from relfi.samplers import (
     knockoff_sampler,
     sample_replacement,
     sampler_factory,
-    shared_moments,
     training_moments,
 )
 from relfi.scm import (
@@ -419,7 +420,7 @@ def _random_scm(rng) -> ScmGraph:
 
 
 class TestSharedJoint:
-    """A run's samplers with a nonempty G can be blocks of one training joint."""
+    """A factory's samplers with a nonempty G are blocks of one training joint."""
 
     @pytest.mark.parametrize("kind", ["gaussian", "knockoff"])
     @pytest.mark.parametrize("name", ["data_a", "data_b"])
@@ -456,8 +457,8 @@ class TestSharedJoint:
 
     @pytest.mark.parametrize("kind", ["gaussian", "knockoff"])
     def test_delta_arms_are_their_cells_of_a_wider_profile(self, kind):
-        # library loops fit each cell on its own columns: a joint as wide as
-        # the call's cells would move a cell's last bits with its neighbours
+        # a factory's joint spans every column but the response, whatever the
+        # call's cells, so a cell's bits do not move with its neighbours
         data = sample_scm(_random_scm(np.random.default_rng(3)), 5_000, seed=6)
         features = data.variable_names[:-1]
         model, loss = fit_from_dataset(data, features), SquaredError()
@@ -525,20 +526,81 @@ class TestSharedJoint:
         assert [c for c in calls if len(c) > 1] == [("X1", "X2", "X3", "X4")]
         assert sorted(c for c in calls if len(c) == 1) == [("X1",), ("X2",), ("X3",), ("X4",)]
 
-    def test_joint_spans_only_the_cells_columns_and_only_when_cheaper(self):
-        names = tuple(f"V{i}" for i in range(30)) + ("Y",)
-        values = np.random.default_rng(1).normal(size=(50, 31))
-        data = Dataset(names, values, "Y", np.arange(50) >= 40)
-        narrow = [("V0", ("V1", "V2")), ("V3", ("V0", "V1")), ("V2", ("V0", "V1", "V3"))]
-        names, _, _, bounds = shared_moments(data, narrow)
-        assert names == ("V0", "V1", "V2", "V3") and set(bounds) == {"V0", "V2", "V3"}
-        assert shared_moments(data, narrow + [("V5", ()), ("V5", ("V5",))])[0] == names
-        # a joint of five columns is less than twice as wide as a cell of three
-        assert shared_moments(data, [("V0", ("V1", "V2")), ("V3", ("V4",))])[0] == names + ("V4",)
-        # repeated cells do not widen a cell, and 24 columns are twelve cells wide
-        scattered = [(f"V{i}", (f"V{i + 1}",)) for i in range(0, 24, 2)]
-        assert shared_moments(data, scattered * 20) is None
-        assert shared_moments(data, [("V0", ()), ("V1", ("V1", "V2"))]) is None
+    @pytest.mark.parametrize("over_cap", [False, True])
+    def test_factory_joint_spans_every_column_but_the_response_up_to_the_cap(
+        self, monkeypatch, over_cap
+    ):
+        names = tuple(f"V{i}" for i in range(15)) + ("Y",) + tuple(f"V{i}" for i in range(15, 30))
+        data = Dataset(names, np.random.default_rng(1).normal(size=(50, 31)), "Y", np.arange(50) >= 40)
+        # 40 training rows of 30 columns: a 9,600-byte block
+        monkeypatch.setattr(samplers, "JOINT_MAX_BYTES", 40 * 30 * 8 - over_cap)
+        calls = []
+
+        def counting(data, names, features):
+            calls.append(tuple(names))
+            return training_moments(data, names, features)
+
+        monkeypatch.setattr(samplers, "training_moments", counting)
+        cells = [("V0", ("V1", "V2")), ("V3", ("V0",)), ("V5", ()), ("V2", ("V29",))]
+        factory = sampler_factory(data, "knockoff")
+        fitted = [factory(*cell) for cell in cells]
+        columns = names[:15] + names[16:]
+        own = [(feature, *g) for feature, g in cells]
+        assert calls == (own if over_cap else [columns, ("V5",)])
+        for s, (feature, g) in zip(fitted if over_cap else (), cells):
+            ref = fit_sampler(data, feature, g, "knockoff")
+            assert (s.slope.tobytes(), s.intercept, s.scale) == (ref.slope.tobytes(), ref.intercept, ref.scale)
+
+    def test_factory_fits_one_cell_at_a_time(self, monkeypatch):
+        data = sample_scm(builtin_experiment_a(), 200, seed=1)
+        monkeypatch.setattr(samplers, "JOINT_MAX_BYTES", 0)
+        active, peak = [0], [0]
+
+        def slow(data, names, features):
+            active[0] += 1
+            peak[0] = max(peak[0], active[0])
+            time.sleep(0.05)
+            active[0] -= 1
+            return training_moments(data, names, features)
+
+        monkeypatch.setattr(samplers, "training_moments", slow)
+        factory = sampler_factory(data)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            list(pool.map(lambda f: factory(f, ("X1",) if f != "X1" else ()), ["X1", "X2", "X3", "X4"]))
+        assert peak[0] == 1
+
+    @pytest.mark.parametrize("kind", ["gaussian", "knockoff"])
+    def test_profile_cells_are_compute_rfi_with_the_factorys_samplers(self, kind):
+        data = sample_scm(_random_scm(np.random.default_rng(4)), 4_000, seed=9)
+        features = data.variable_names[:-1]
+        model, loss = fit_from_dataset(data, features), SquaredError()
+        factory = sampler_factory(data, kind)
+        sets = [(), ("V3",), ("V0", "V7", "V11"), tuple(v for v in features if v != "V2")]
+        cells = rfi_profile(model, loss, data, ["V2", "V9"], sets, factory, 3, 5)
+        for cell in cells:
+            g = cell.conditioning
+            sampler = None if cell.feature in g else factory(cell.feature, g)
+            ref = compute_rfi(model, loss, data, cell.feature, g, sampler, 3, 5)
+            assert cell.perturbed_risks == ref.perturbed_risks
+            assert cell.first_differences.tobytes() == ref.first_differences.tobytes()
+
+    @pytest.mark.parametrize("kind", ["gaussian", "knockoff"])
+    def test_factory_over_thirteen_variables_stays_close_to_each_subset_fit(self, kind):
+        rng = np.random.default_rng(77)
+        data = sample_scm(_random_scm(rng), 20_000, seed=8)
+        variables = data.variable_names[:-1]
+        factory = sampler_factory(data, kind)
+        for feature in variables:
+            others = [v for v in variables if v != feature]
+            sets = [tuple(sorted(others))] + [
+                tuple(sorted(rng.choice(others, rng.integers(1, len(others)), replace=False)))
+                for _ in range(20)
+            ]
+            for cond in sets:
+                s = factory(feature, cond)
+                slope, intercept, scale = _subset_fit(data, feature, cond, kind)
+                np.testing.assert_allclose(s.slope, slope, rtol=1e-10, atol=0)
+                np.testing.assert_allclose([s.intercept, s.scale], [intercept, scale], rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("kind", ["gaussian", "knockoff"])
     def test_constant_feature_is_point_mass(self, kind):

@@ -272,6 +272,15 @@ class TestSerialization:
         with pytest.raises(GraphError, match=re.escape(message)):
             parse_graph(mapping)
 
+    @pytest.mark.parametrize("edges", [5, 0, "ab"])
+    def test_parse_refuses_edges_that_are_not_a_list(self, edges):
+        with pytest.raises(GraphError, match=re.escape("'edges' must be a list")):
+            parse_graph({"nodes": [{"name": "a"}], "edges": edges})
+
+    def test_absent_or_null_edges_mean_none(self):
+        assert parse_graph({"nodes": [{"name": "a"}]}).edges == ()
+        assert parse_graph({"nodes": [{"name": "a"}], "edges": None}).edges == ()
+
     def test_load_graph_bad_yaml(self, tmp_path):
         path = tmp_path / "g.yaml"
         path.write_text("nodes: [unclosed\n")
