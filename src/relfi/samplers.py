@@ -7,10 +7,10 @@ rows. A factory (``sampler_factory``, for the library loops and ``relfi
 run`` alike) fits one training joint over every column but the response
 when it is created and reads each sampler with a nonempty G as its block,
 so a cell's bits depend on the dataset, not on the other cells of a call.
-Above ``JOINT_MAX_BYTES`` (64 MiB of training block), and for an empty G
-always, a cell fits its own columns. A block of a joint wider than about
-5 columns can differ from a fit of the subset alone in the last bits (at
-most 1.0e-12 relative per parameter over 600 sets on a 13-variable graph).
+For an empty G, or a joint over more than 4 columns past ``JOINT_MAX_BYTES``
+or ``JOINT_MAX_FLOPS``, a cell fits its own columns. A block of a joint over
+more than about 5 columns can move a subset fit's last bits (at most 1.0e-12
+relative per parameter over 600 sets on a 13-variable graph).
 Two kinds are provided:
 
 - direct conditional-Gaussian sampling (the default): exact under the
@@ -277,8 +277,9 @@ def knockoff_sampler(joint: GaussianJoint) -> KnockoffSampler:
 
 SAMPLER_KINDS = ("gaussian", "knockoff")
 
-# the largest training block (rows x columns x 8 bytes) a factory's joint gathers
+# caps on a joint over k > 4 columns: (n_train + k) * k * 8 bytes, n_train * k * k multiply-adds
 JOINT_MAX_BYTES = 64 * 2**20
+JOINT_MAX_FLOPS = 2**25
 
 
 def training_moments(data: Dataset, names, features) -> tuple:
@@ -342,15 +343,14 @@ def fit_sampler(
 def sampler_factory(data: Dataset, kind: str = "gaussian", ridge: float | None = None):
     """Bind dataset and options into a (feature, conditioning) -> sampler callable.
 
-    Fits the ``training_moments`` over every column but the response on the
-    caller's thread, and reads every sampler with a nonempty G as their
-    block unless their training block exceeds ``JOINT_MAX_BYTES``. Fits run
-    one at a time, so no two cells' own gathered blocks are held at once.
+    Fits the joint of every column but the response now, on the caller's thread, when
+    k <= 4 (at most twice any cell's block) or within the caps; fits run one at a time.
     """
     columns = [n for n in data.variable_names if n != data.target_name]
-    fits_cap = data.n_train * len(columns) * 8 <= JOINT_MAX_BYTES
-    joint = training_moments(data, columns, columns) if fits_cap else None
-    lock = threading.Lock()
+    rows, k = data.n_train, len(columns)
+    cheap = (rows + k) * k * 8 <= JOINT_MAX_BYTES and rows * k * k <= JOINT_MAX_FLOPS
+    joint = training_moments(data, columns, columns) if cheap or k <= 4 else None
+    lock = threading.Lock()  # so two workers never gather two cells' own blocks at once
 
     def factory(feature: str, conditioning) -> _AffineSampler:
         with lock:

@@ -526,14 +526,20 @@ class TestSharedJoint:
         assert [c for c in calls if len(c) > 1] == [("X1", "X2", "X3", "X4")]
         assert sorted(c for c in calls if len(c) == 1) == [("X1",), ("X2",), ("X3",), ("X4",)]
 
+    @pytest.mark.parametrize(
+        "cap, limit",
+        # 20 training rows of 30 columns: a 4,800-byte block, a 7,200-byte
+        # covariance and 18,000 multiply-adds
+        [("JOINT_MAX_BYTES", (20 + 30) * 30 * 8), ("JOINT_MAX_FLOPS", 20 * 30 * 30)],
+        ids=["bytes", "flops"],
+    )
     @pytest.mark.parametrize("over_cap", [False, True])
     def test_factory_joint_spans_every_column_but_the_response_up_to_the_cap(
-        self, monkeypatch, over_cap
+        self, monkeypatch, over_cap, cap, limit
     ):
         names = tuple(f"V{i}" for i in range(15)) + ("Y",) + tuple(f"V{i}" for i in range(15, 30))
-        data = Dataset(names, np.random.default_rng(1).normal(size=(50, 31)), "Y", np.arange(50) >= 40)
-        # 40 training rows of 30 columns: a 9,600-byte block
-        monkeypatch.setattr(samplers, "JOINT_MAX_BYTES", 40 * 30 * 8 - over_cap)
+        data = Dataset(names, np.random.default_rng(1).normal(size=(50, 31)), "Y", np.arange(50) >= 20)
+        monkeypatch.setattr(samplers, cap, limit - over_cap)
         calls = []
 
         def counting(data, names, features):
@@ -552,7 +558,8 @@ class TestSharedJoint:
             assert (s.slope.tobytes(), s.intercept, s.scale) == (ref.slope.tobytes(), ref.intercept, ref.scale)
 
     def test_factory_fits_one_cell_at_a_time(self, monkeypatch):
-        data = sample_scm(builtin_experiment_a(), 200, seed=1)
+        # 12 columns: a joint over at most 4 would be fitted whatever the caps
+        data = sample_scm(_random_scm(np.random.default_rng(1)), 200, seed=1)
         monkeypatch.setattr(samplers, "JOINT_MAX_BYTES", 0)
         active, peak = [0], [0]
 
@@ -566,8 +573,25 @@ class TestSharedJoint:
         monkeypatch.setattr(samplers, "training_moments", slow)
         factory = sampler_factory(data)
         with ThreadPoolExecutor(max_workers=2) as pool:
-            list(pool.map(lambda f: factory(f, ("X1",) if f != "X1" else ()), ["X1", "X2", "X3", "X4"]))
+            list(pool.map(lambda f: factory(f, ("V1",) if f != "V1" else ()), ["V1", "V2", "V3", "V4"]))
         assert peak[0] == 1
+
+    def test_factory_fits_a_joint_of_four_columns_past_both_caps(self, monkeypatch):
+        # its block is at most twice that of any cell with a nonempty G
+        data = sample_scm(builtin_experiment_a(), 200, seed=1)
+        monkeypatch.setattr(samplers, "JOINT_MAX_BYTES", 0)
+        monkeypatch.setattr(samplers, "JOINT_MAX_FLOPS", 0)
+        calls = []
+
+        def counting(data, names, features):
+            calls.append(tuple(names))
+            return training_moments(data, names, features)
+
+        monkeypatch.setattr(samplers, "training_moments", counting)
+        factory = sampler_factory(data)
+        factory("X3", ("X1", "X2"))
+        factory("X4", ("X2",))
+        assert calls == [("X1", "X2", "X3", "X4")]
 
     @pytest.mark.parametrize("kind", ["gaussian", "knockoff"])
     def test_profile_cells_are_compute_rfi_with_the_factorys_samplers(self, kind):
