@@ -459,13 +459,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
                 estimates.append(estimate)
                 rows.append(engine.result_row(estimate, result, config.form))
         except Exception as exc:
-            engine.write_results_csv(csv_path, rows)
             feature, cond = cells[len(rows)]
             raise RunError(
                 f"job {len(rows)} (feature={feature}, "
                 f"G={engine.format_conditioning(cond) or '{}'}) failed: {exc}"
             ) from exc
-    engine.write_results_csv(csv_path, rows)
+        finally:  # rows finished before a failing cell are written too
+            engine.write_results_csv(csv_path, rows)
     # titled after the data file's name, not its directory or the output
     # path, so moving either cannot change a single output byte
     title = os.path.basename(config.data_graph or config.data_csv)
@@ -515,10 +515,8 @@ def render_figure(estimates, form: str = engine.DIFFERENCE, title: str = "") -> 
     features = list(dict.fromkeys(est.feature for est in estimates))
     cond_labels = list(dict.fromkeys(est.conditioning for est in estimates))
     values = {}
-    for est in estimates:
-        half = math.nan
-        if est.replications >= 2 and math.isfinite(est.value_se(form)):
-            half = est.value_se(form) * float(stdtrit(est.replications - 1, 0.975))
+    for est in estimates:  # below two replications se and stdtrit(0, .) are NaN
+        half = est.value_se(form) * float(stdtrit(est.replications - 1, 0.975))
         values[(est.feature, est.conditioning)] = (est.value(form), half)
 
     reference = 0.0 if form == engine.DIFFERENCE else 1.0

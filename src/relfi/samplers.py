@@ -7,10 +7,11 @@ rows. A factory (``sampler_factory``, for the library loops and ``relfi
 run`` alike) fits one training joint over every column but the response
 when it is created and reads each sampler with a nonempty G as its block,
 so a cell's bits depend on the dataset, not on the other cells of a call.
-For an empty G, or a joint over more than 4 columns past ``JOINT_MAX_BYTES``
-or ``JOINT_MAX_FLOPS``, a cell fits its own columns. A block of a joint over
-more than about 5 columns can move a subset fit's last bits (at most 1.0e-12
-relative per parameter over 600 sets on a 13-variable graph).
+The joint records every column's training bounds, so a feature constant in
+training reads as a point mass from it. For an empty G, or a joint over more
+than 4 columns past ``JOINT_MAX_FLOPS``, a cell fits its own columns. A block
+of a joint over more than about 5 columns can move a subset fit's last bits
+(at most 1.0e-12 relative per parameter over 600 sets on a 13-variable graph).
 Two kinds are provided:
 
 - direct conditional-Gaussian sampling (the default): exact under the
@@ -277,19 +278,21 @@ def knockoff_sampler(joint: GaussianJoint) -> KnockoffSampler:
 
 SAMPLER_KINDS = ("gaussian", "knockoff")
 
-# caps on a joint over k > 4 columns: (n_train + k) * k * 8 bytes, n_train * k * k multiply-adds
-JOINT_MAX_BYTES = 64 * 2**20
+# cap on a joint over k > 4 columns: (n_train + k) * k * k multiply-adds, its
+# covariance plus a k x k solve; it keeps block and covariance under 2**28 / k bytes
 JOINT_MAX_FLOPS = 2**25
 
 
-def training_moments(data: Dataset, names, features) -> tuple:
-    """(names, mean, unridged covariance, {feature: (min, max)}) of the named
-    columns on the training rows, with the bounds of the names in ``features``.
-    The covariance repeats ``np.cov`` step for step (same bits for two or more
-    columns) but centres the gathered block in place; below 2 rows it is None."""
+def training_moments(data: Dataset, names) -> tuple:
+    """(names, mean, unridged covariance, {name: (min, max)}) of the named
+    columns on the training rows. The covariance repeats ``np.cov`` step for
+    step (same bits for two or more columns) but centres the gathered block in
+    place; below 2 rows it is None."""
     names = tuple(names)
+    if data.n_train == 0:
+        raise SchemaError("no training rows to fit a sampler on")
     x = data.matrix(names, TRAIN).T  # np.cov's layout: one row per variable
-    bounds = {name: (row.min(), row.max()) for name, row in zip(names, x) if name in features}
+    bounds = {name: (row.min(), row.max()) for name, row in zip(names, x)}
     mean, cov = _moments(x) if x.shape[1] > 1 else (x.mean(axis=1), None)
     return names, mean, cov, bounds
 
@@ -325,8 +328,8 @@ def fit_sampler(
     names = (feature,) + conditioning
     # an empty G keeps its own column: one contiguous column is summed
     # pairwise, so a block of a wider joint would not reproduce its bits
-    if not (conditioning and moments and feature in moments[3] and set(names) <= set(moments[0])):
-        moments = training_moments(data, names, (feature,))
+    if not (conditioning and moments and set(names) <= set(moments[0])):
+        moments = training_moments(data, names)
     columns, mean, cov, bounds = moments
     idx, (low, high) = [columns.index(name) for name in names], bounds[feature]
     if low == high:
@@ -344,12 +347,13 @@ def sampler_factory(data: Dataset, kind: str = "gaussian", ridge: float | None =
     """Bind dataset and options into a (feature, conditioning) -> sampler callable.
 
     Fits the joint of every column but the response now, on the caller's thread, when
-    k <= 4 (at most twice any cell's block) or within the caps; fits run one at a time.
+    k <= 4 (at most twice any cell's block) or within ``JOINT_MAX_FLOPS``; fits run one
+    at a time.
     """
     columns = [n for n in data.variable_names if n != data.target_name]
-    rows, k = data.n_train, len(columns)
-    cheap = (rows + k) * k * 8 <= JOINT_MAX_BYTES and rows * k * k <= JOINT_MAX_FLOPS
-    joint = training_moments(data, columns, columns) if cheap or k <= 4 else None
+    k = len(columns)
+    cheap = k <= 4 or (data.n_train + k) * k * k <= JOINT_MAX_FLOPS
+    joint = training_moments(data, columns) if cheap else None
     lock = threading.Lock()  # so two workers never gather two cells' own blocks at once
 
     def factory(feature: str, conditioning) -> _AffineSampler:

@@ -13,6 +13,7 @@ two built-in experiment graphs are expressed in it.
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,26 +95,16 @@ class ScmGraph:
 
 
 def _topological_order(nodes: tuple[str, ...], edges: tuple[Edge, ...]) -> tuple[str, ...]:
-    # Kahn's algorithm, visiting ready nodes in declaration order so the
-    # result is deterministic for a given graph.
-    indegree = {n: 0 for n in nodes}
+    # ready nodes leave in declaration order, their children in edge order,
+    # so the result is deterministic for a given graph
+    sorter = graphlib.TopologicalSorter({n: () for n in nodes})
     for e in edges:
-        indegree[e.child] += 1
-    order: list[str] = []
-    ready = [n for n in nodes if indegree[n] == 0]
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        for e in edges:
-            if e.parent != node:
-                continue
-            indegree[e.child] -= 1
-            if indegree[e.child] == 0:
-                ready.append(e.child)
-    if len(order) != len(nodes):
-        stuck = sorted(n for n, d in indegree.items() if d > 0)
-        raise GraphError(f"cycle detected involving: {', '.join(stuck)}")
-    return tuple(order)
+        sorter.add(e.child, e.parent)
+    try:
+        return tuple(sorter.static_order())
+    except graphlib.CycleError as exc:
+        cycle = ", ".join(sorted(set(exc.args[1])))
+        raise GraphError(f"cycle detected involving: {cycle}") from None
 
 
 def sample_scm(

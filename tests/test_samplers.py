@@ -427,7 +427,7 @@ class TestSharedJoint:
     def test_bundled_graphs_match_subset_fit_bit_for_bit(self, request, name, kind):
         data = request.getfixturevalue(name)
         variables = [v for v in data.variable_names if v != data.target_name]
-        moments = training_moments(data, variables, variables)
+        moments = training_moments(data, variables)
         for feature in variables:
             others = [v for v in variables if v != feature]
             for size in range(1, len(others) + 1):
@@ -441,7 +441,7 @@ class TestSharedJoint:
         rng = np.random.default_rng(2024)
         data = sample_scm(_random_scm(rng), 20_000, seed=5)
         variables = data.variable_names[:-1]
-        moments = training_moments(data, variables, variables)
+        moments = training_moments(data, variables)
         for _ in range(300):
             feature = str(rng.choice(variables))
             others = [v for v in variables if v != feature]
@@ -499,7 +499,7 @@ class TestSharedJoint:
             values = rng.normal(rng.uniform(-5, 5, k + 1), rng.uniform(0.1, 10, k + 1), (n, k + 1))
             data = Dataset(names, values, "Y", np.zeros(n, dtype=bool))
             rows = data.matrix(names[:-1], TRAIN)
-            got, mean, cov, bounds = training_moments(data, names[:-1], ("V0", "Y"))
+            got, mean, cov, bounds = training_moments(data, names[:-1])
             assert got == names[:-1]
             assert mean.tobytes() == rows.mean(axis=0).tobytes()
             if k == 1:  # numpy's pairwise sum, not BLAS's dot
@@ -508,14 +508,14 @@ class TestSharedJoint:
             else:
                 ref = np.cov(rows, rowvar=False)
             assert cov.tobytes() == ref.tobytes()
-            assert bounds == {"V0": (rows[:, 0].min(), rows[:, 0].max())}
+            assert bounds == {name: (row.min(), row.max()) for name, row in zip(got, rows.T)}
 
     def test_run_fits_one_joint_across_workers(self, tmp_path, monkeypatch):
         calls = []
 
-        def counting(data, names, features):
+        def counting(data, names):
             calls.append(tuple(names))
-            return training_moments(data, names, features)
+            return training_moments(data, names)
 
         monkeypatch.setattr(samplers, "training_moments", counting)
         config = dataclasses.replace(
@@ -527,24 +527,23 @@ class TestSharedJoint:
         assert sorted(c for c in calls if len(c) == 1) == [("X1",), ("X2",), ("X3",), ("X4",)]
 
     @pytest.mark.parametrize(
-        "cap, limit",
-        # 20 training rows of 30 columns: a 4,800-byte block, a 7,200-byte
-        # covariance and 18,000 multiply-adds
-        [("JOINT_MAX_BYTES", (20 + 30) * 30 * 8), ("JOINT_MAX_FLOPS", 20 * 30 * 30)],
-        ids=["bytes", "flops"],
+        "limit, over_cap",
+        # 20 training rows of 30 columns: 18,000 multiply-adds for the
+        # covariance and 27,000 for a 30 x 30 solve
+        [((20 + 30) * 30 * 30, False), ((20 + 30) * 30 * 30 - 1, True), (20 * 30 * 30, True)],
+        ids=["within", "over", "k-cubed"],
     )
-    @pytest.mark.parametrize("over_cap", [False, True])
     def test_factory_joint_spans_every_column_but_the_response_up_to_the_cap(
-        self, monkeypatch, over_cap, cap, limit
+        self, monkeypatch, limit, over_cap
     ):
         names = tuple(f"V{i}" for i in range(15)) + ("Y",) + tuple(f"V{i}" for i in range(15, 30))
         data = Dataset(names, np.random.default_rng(1).normal(size=(50, 31)), "Y", np.arange(50) >= 20)
-        monkeypatch.setattr(samplers, cap, limit - over_cap)
+        monkeypatch.setattr(samplers, "JOINT_MAX_FLOPS", limit)
         calls = []
 
-        def counting(data, names, features):
+        def counting(data, names):
             calls.append(tuple(names))
-            return training_moments(data, names, features)
+            return training_moments(data, names)
 
         monkeypatch.setattr(samplers, "training_moments", counting)
         cells = [("V0", ("V1", "V2")), ("V3", ("V0",)), ("V5", ()), ("V2", ("V29",))]
@@ -558,17 +557,17 @@ class TestSharedJoint:
             assert (s.slope.tobytes(), s.intercept, s.scale) == (ref.slope.tobytes(), ref.intercept, ref.scale)
 
     def test_factory_fits_one_cell_at_a_time(self, monkeypatch):
-        # 12 columns: a joint over at most 4 would be fitted whatever the caps
+        # 12 columns: a joint over at most 4 would be fitted whatever the cap
         data = sample_scm(_random_scm(np.random.default_rng(1)), 200, seed=1)
-        monkeypatch.setattr(samplers, "JOINT_MAX_BYTES", 0)
+        monkeypatch.setattr(samplers, "JOINT_MAX_FLOPS", 0)
         active, peak = [0], [0]
 
-        def slow(data, names, features):
+        def slow(data, names):
             active[0] += 1
             peak[0] = max(peak[0], active[0])
             time.sleep(0.05)
             active[0] -= 1
-            return training_moments(data, names, features)
+            return training_moments(data, names)
 
         monkeypatch.setattr(samplers, "training_moments", slow)
         factory = sampler_factory(data)
@@ -579,13 +578,12 @@ class TestSharedJoint:
     def test_factory_fits_a_joint_of_four_columns_past_both_caps(self, monkeypatch):
         # its block is at most twice that of any cell with a nonempty G
         data = sample_scm(builtin_experiment_a(), 200, seed=1)
-        monkeypatch.setattr(samplers, "JOINT_MAX_BYTES", 0)
         monkeypatch.setattr(samplers, "JOINT_MAX_FLOPS", 0)
         calls = []
 
-        def counting(data, names, features):
+        def counting(data, names):
             calls.append(tuple(names))
-            return training_moments(data, names, features)
+            return training_moments(data, names)
 
         monkeypatch.setattr(samplers, "training_moments", counting)
         factory = sampler_factory(data)
@@ -631,10 +629,9 @@ class TestSharedJoint:
         x = np.linspace(0.0, 1.0, 20)
         values = np.column_stack([np.full(20, -3.5), x, x**2, x + 1.0])
         data = Dataset(("a", "b", "c", "Y"), values, "Y", np.arange(20) >= 16)
-        # without the feature's bounds the moments are not used
-        columns = ("a", "b", "c")
-        with_a, without_a = (training_moments(data, columns, f) for f in (("a",), ("b",)))
-        for moments in (None, with_a, without_a):
+        # a joint wider than the cell, and one that leaves out part of its G
+        wide, narrow = training_moments(data, ("a", "b", "c")), training_moments(data, ("a", "b"))
+        for moments in (None, wide, narrow):
             s = fit_sampler(data, "a", ("b", "c"), kind=kind, moments=moments)
             assert isinstance(s, PointMassSampler)
             assert (s.intercept, s.scale, s.required_columns) == (-3.5, 0.0, ())
@@ -644,7 +641,7 @@ class TestSharedJoint:
         values = np.column_stack([x, np.full(40, 2.0), -x])
         data = Dataset(("a", "b", "Y"), values, "Y", np.arange(40) >= 30)
         slope, intercept, scale = _subset_fit(data, "a", ("b",), "gaussian")
-        for moments in (None, training_moments(data, ("a", "b"), ("a",))):
+        for moments in (None, training_moments(data, ("a", "b"))):
             s = fit_sampler(data, "a", ("b",), moments=moments)
             assert isinstance(s, GaussianConditionalSampler)
             assert (s.slope.tobytes(), s.intercept, s.scale) == (slope.tobytes(), intercept, scale)
@@ -656,10 +653,24 @@ class TestSharedJoint:
     def test_one_training_row_is_point_mass(self, conditioning):
         values = np.array([[1.5, 2.0, 0.0], [4.0, 5.0, 1.0], [6.0, 7.0, 2.0]])
         data = Dataset(("a", "b", "Y"), values, "Y", np.array([False, True, True]))
-        for moments in (None, training_moments(data, ("a", "b"), ("a",))):
+        for moments in (None, training_moments(data, ("a", "b"))):
             s = fit_sampler(data, "a", conditioning, moments=moments)
             assert isinstance(s, PointMassSampler)
             assert (s.intercept, s.scale) == (1.5, 0.0)
+
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda data: training_moments(data, ("a", "b")),
+            lambda data: fit_sampler(data, "a", ("b",)),
+            lambda data: sampler_factory(data, "knockoff"),
+        ],
+        ids=["training_moments", "fit_sampler", "sampler_factory"],
+    )
+    def test_no_training_rows_is_a_schema_error(self, fit):
+        data = Dataset(("a", "b", "Y"), np.arange(15.0).reshape(5, 3), "Y", np.ones(5, dtype=bool))
+        with pytest.raises(SchemaError, match="no training rows to fit a sampler on"):
+            fit(data)
 
 
 class TestUnitFree:
@@ -688,6 +699,6 @@ class TestUnitFree:
         values = np.column_stack([x, np.full(20000, value), -x])
         data = Dataset(("a", "b", "Y"), values, "Y", np.arange(20000) >= 18000)
         marginal = sample_replacement(fit_sampler(data, "a", ()), data, seed=2)
-        for moments in (None, training_moments(data, ("a", "b"), ("a",))):
+        for moments in (None, training_moments(data, ("a", "b"))):
             s = fit_sampler(data, "a", ("b",), moments=moments)
             assert np.abs(sample_replacement(s, data, seed=2) - marginal).max() <= 1e-12

@@ -69,6 +69,55 @@ class TestGraphValidation:
             assert order[e.parent] < order[e.child]
 
 
+def kahn_order(nodes, edges):
+    """Reference order: Kahn's algorithm with a FIFO of ready nodes, seeded
+    in declaration order, releasing each node's children in edge order."""
+    indegree = {n: 0 for n in nodes}
+    for e in edges:
+        indegree[e.child] += 1
+    order = []
+    ready = [n for n in nodes if indegree[n] == 0]
+    while ready:
+        node = ready.pop(0)
+        order.append(node)
+        for e in edges:
+            if e.parent != node:
+                continue
+            indegree[e.child] -= 1
+            if indegree[e.child] == 0:
+                ready.append(e.child)
+    assert len(order) == len(nodes), "reference given a cyclic graph"
+    return tuple(order)
+
+
+def shuffled_dag(rng) -> ScmGraph:
+    """A random DAG whose nodes and edges are declared in shuffled order."""
+    k = int(rng.integers(1, 16))
+    causal = [f"N{i}" for i in range(k)]
+    edges = [
+        Edge(causal[i], causal[j], 1.0)
+        for j in range(k) for i in range(j) if rng.random() < rng.uniform(0.1, 0.6)
+    ]
+    nodes = tuple(causal[i] for i in rng.permutation(k))
+    edges = tuple(edges[i] for i in rng.permutation(len(edges)))
+    return ScmGraph(nodes, (1.0,) * k, edges)
+
+
+class TestTopologicalOrder:
+    def test_matches_kahn_reference(self):
+        rng = np.random.default_rng(16)
+        graphs = [builtin_experiment_a(), builtin_experiment_b()]
+        graphs += [shuffled_dag(rng) for _ in range(200)]
+        for g in graphs:
+            assert g.topological_order == kahn_order(g.nodes, g.edges)
+
+    def test_cycle_names_its_nodes(self):
+        edges = (Edge("d", "a", 1.0), Edge("a", "b", 1.0), Edge("b", "c", 1.0),
+                 Edge("c", "a", 1.0), Edge("c", "e", 1.0))
+        with pytest.raises(GraphError, match=r"^cycle detected involving: a, b, c$"):
+            ScmGraph(("a", "b", "c", "d", "e"), (1.0,) * 5, edges)
+
+
 class TestBuiltins:
     def test_experiment_a_nodes(self):
         g = builtin_experiment_a()
