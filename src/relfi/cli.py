@@ -48,6 +48,7 @@ from .core import (
     check_partition,
     csv_header,
     empirical_risk,
+    is_int,
     is_name,
     is_number,
     load_csv,
@@ -104,10 +105,6 @@ class ExperimentConfig:
     test_kind: str = TEST_KINDS[0]
 
 
-def _is_int(value, low: int) -> bool:
-    return is_number(value, int) and value >= low
-
-
 def _is_text(value) -> bool:
     return isinstance(value, str) and bool(value)
 
@@ -132,18 +129,18 @@ class _Key(NamedTuple):
 # are lists, parsed and written by hand below.
 _KEYS = (
     _Key("data.graph", "data_graph", _is_text, "must be a built-in graph name or a graph file"),
-    _Key("data.n", "data_n", lambda v: _is_int(v, 2), "must be an integer >= 2"),
+    _Key("data.n", "data_n", lambda v: is_int(v, 2), "must be an integer >= 2"),
     _Key("data.csv", "data_csv", _is_text, "must be a CSV file path"),
     _Key("data.split_column", "split_column", _is_text, "must be a column name"),
     _Key("target", "target", _is_text, "must be a non-empty string"),
     _Key("test_fraction", "test_fraction", lambda v: is_number(v) and 0 < v < 1,
          "must be a number strictly between 0 and 1"),
-    _Key("seed", "seed", lambda v: _is_int(v, 0), "must be a non-negative integer"),
+    _Key("seed", "seed", lambda v: is_int(v, 0), "must be a non-negative integer"),
     _Key("model", "model", _is_text, "must be 'ols' or a model file path"),
     _Key("sampler.kind", "sampler_kind", *_one_of(SAMPLER_KINDS)),
     _Key("sampler.ridge", "ridge", lambda v: v is None or is_number(v) and v >= 0,
          "must be null or a finite number >= 0", float),
-    _Key("replications", "replications", lambda v: _is_int(v, 1), "must be an integer >= 1"),
+    _Key("replications", "replications", lambda v: is_int(v, 1), "must be an integer >= 1"),
     _Key("form", "form", *_one_of(engine.FORMS)),
     _Key("test.kind", "test_kind", *_one_of(TEST_KINDS)),
     _Key("output", "output", _is_text, "must be a non-empty directory path"),

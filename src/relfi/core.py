@@ -146,7 +146,7 @@ def _records(fp, path):
 
 def csv_header(path) -> list[str]:
     """The variable names in the first row of a CSV file, stripped."""
-    with open(path, newline="") as fp:
+    with open(path, newline="", encoding="utf-8-sig") as fp:
         header = next(_records(fp, path), None)
     if not header:
         raise SchemaError(f"{path}: empty file")
@@ -209,7 +209,7 @@ def _rows_by_loadtxt(path, header, split_idx):
         dtype = np.dtype([(f"c{k}", "U6" if k == split_idx else float)
                           for k in range(len(header))])
     try:
-        with open(path, newline="") as fp, warnings.catch_warnings():
+        with open(path, newline="", encoding="utf-8-sig") as fp, warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # "input contained no data"
             rows = np.loadtxt(fp, dtype=dtype, delimiter=",", skiprows=1,
                               comments=None, ndmin=1 if split_idx is not None else 2)
@@ -251,7 +251,7 @@ def _rows_by_line(path, header, split_idx):
     data_idx = [k for k in range(len(header)) if k != split_idx]
     rows: list[list[float]] = []
     tags: list[bool] = []
-    with open(path, newline="") as fp:
+    with open(path, newline="", encoding="utf-8-sig") as fp:
         records = _records(fp, path)
         next(records)  # the header row
         for lineno, record in enumerate(records, start=2):
@@ -308,6 +308,11 @@ def canonical_names(names) -> tuple[str, ...]:
 def is_number(value, kind=(int, float)) -> bool:
     """Whether a parsed YAML value is a number of ``kind`` in float range; booleans are not."""
     return not isinstance(value, bool) and isinstance(value, kind) and abs(value) <= float_info.max
+
+
+def is_int(value, low: int) -> bool:
+    """Whether ``value`` is a Python or numpy integer, not a boolean, of at least ``low``."""
+    return is_number(value, (int, np.integer)) and value >= low
 
 
 def is_name(value) -> bool:

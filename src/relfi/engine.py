@@ -40,6 +40,7 @@ import numpy as np
 
 from .core import (
     TEST, Dataset, LossFunction, PredictiveModel, SchemaError, canonical_names, check_partition,
+    is_int,
 )
 from .inference import TestResult
 from .samplers import _AffineSampler
@@ -60,7 +61,9 @@ class RfiEstimate:
     ``perturbed_risks`` holds the per-replication risk under replacement;
     ``baseline_risk`` is shared by all replications. ``first_differences``
     keeps the per-observation loss differences of replication 0, the
-    input to the significance tests.
+    input to the significance tests. The estimate has two statistics,
+    ``value(form)`` and its standard error ``value_se(form)``; ``point``,
+    ``se``, ``ratio`` and ``ratio_se`` are shorthands for them.
     """
 
     feature: str
@@ -87,52 +90,35 @@ class RfiEstimate:
         """(perturbed, baseline) per replication."""
         return tuple((r, self.baseline_risk) for r in self.perturbed_risks)
 
-    @property
-    def _mean_risk(self) -> np.float64:
+    def value(self, form: str = DIFFERENCE) -> float:
+        """Mean risk under replacement minus the baseline, or divided by it in ratio form."""
+        risks, b = self.perturbed_risks, self.baseline_risk
         # The mean of equal floats need not equal them; when every
         # replication reproduced the baseline, the mean is the baseline.
-        if all(r == self.baseline_risk for r in self.perturbed_risks):
-            return np.float64(self.baseline_risk)
-        return np.mean(self.perturbed_risks)
-
-    @property
-    def point(self) -> float:
-        """Mean risk difference across replications."""
-        return float(self._mean_risk - self.baseline_risk)
-
-    @property
-    def se(self) -> float:
-        """Standard error of the point estimate across replications.
-
-        A single replication carries no spread information; the standard
-        error is NaN in that case.
-        """
-        return self._spread(np.asarray(self.perturbed_risks) - self.baseline_risk)
-
-    @property
-    def ratio(self) -> float:
-        """Risk-ratio form of the estimate, perturbed over baseline."""
-        check_ratio_baseline(self.baseline_risk, self.ratio_floor)
-        return float(self._mean_risk / self.baseline_risk)
-
-    @property
-    def ratio_se(self) -> float:
-        check_ratio_baseline(self.baseline_risk, self.ratio_floor)
-        return self._spread(np.asarray(self.perturbed_risks) / self.baseline_risk)
-
-    def value(self, form: str = DIFFERENCE) -> float:
-        _check_form(form)
-        return self.point if form == DIFFERENCE else self.ratio
+        mean = b if all(r == b for r in risks) else np.mean(risks)
+        return float(self._against_baseline(mean, form))
 
     def value_se(self, form: str = DIFFERENCE) -> float:
-        _check_form(form)
-        return self.se if form == DIFFERENCE else self.ratio_se
-
-    @staticmethod
-    def _spread(values: np.ndarray) -> float:
+        """Standard error of ``value(form)``: the spread of the per-replication
+        values. A single replication carries no spread; its error is NaN."""
+        values = self._against_baseline(np.asarray(self.perturbed_risks), form)
         if values.size < 2:
             return math.nan
         return float(values.std(ddof=1) / math.sqrt(values.size))
+
+    def _against_baseline(self, risks, form: str):
+        """``risks`` minus the baseline, or divided by it once the ratio form is checked."""
+        if form == DIFFERENCE:
+            return risks - self.baseline_risk
+        if form != RATIO:
+            raise ValueError(f"form must be one of {', '.join(FORMS)}; got {form!r}")
+        check_ratio_baseline(self.baseline_risk, self.ratio_floor)
+        return risks / self.baseline_risk
+
+    point = property(lambda self: self.value(DIFFERENCE), doc="``value`` in difference form.")
+    se = property(lambda self: self.value_se(DIFFERENCE), doc="``value_se`` in difference form.")
+    ratio = property(lambda self: self.value(RATIO), doc="``value`` in ratio form.")
+    ratio_se = property(lambda self: self.value_se(RATIO), doc="``value_se`` in ratio form.")
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,25 +157,6 @@ def check_ratio_baseline(baseline_risk: float, floor: float) -> None:
         )
 
 
-def _check_form(form: str) -> None:
-    if form not in FORMS:
-        raise ValueError(f"form must be one of {', '.join(FORMS)}; got {form!r}")
-
-
-def _validate_cell(
-    model: PredictiveModel,
-    data: Dataset,
-    feature: str,
-    conditioning: tuple[str, ...],
-) -> None:
-    check_partition(data.target_name, feature, conditioning)
-    order = tuple(model.feature_order)
-    if feature not in order:
-        raise SchemaError(f"feature {feature!r} is not a model feature")
-    for name in order + conditioning:
-        data.column_index(name)  # raises SchemaError when absent
-
-
 @dataclass(frozen=True, eq=False)
 class EvaluationContext:
     """Per-run state shared by every cell scored on one model and test set.
@@ -215,21 +182,21 @@ class EvaluationContext:
     noise: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        replications, base_seed = int(self.replications), int(self.base_seed)
-        if replications < 1:
-            raise ValueError("replications must be >= 1")
+        for name, low in (("replications", 1), ("base_seed", 0)):
+            if not is_int(getattr(self, name), low):
+                raise ValueError(f"{name} must be an integer >= {low}")
         X = self.data.matrix(self.model.feature_order, TEST)
         if X.shape[0] < 1:
             raise SchemaError("no test rows to evaluate on")
         y = self.data.target_values(TEST)
         base_losses = self.loss.pointwise(y, self.model.predict(X))
-        noise = np.empty((replications, X.shape[0]))
+        noise = np.empty((self.replications, X.shape[0]))
         for r, row in enumerate(noise):
-            np.random.default_rng([base_seed, r]).standard_normal(out=row)
+            np.random.default_rng([self.base_seed, r]).standard_normal(out=row)
         for arr in (X, y, base_losses, noise):
             arr.setflags(write=False)
         derived = dict(
-            replications=replications, base_seed=base_seed, X=X, y=y,
+            replications=int(self.replications), base_seed=int(self.base_seed), X=X, y=y,
             base_losses=base_losses, baseline_risk=float(base_losses.mean()),
             ratio_floor=float(np.finfo(float).eps * np.var(y)), noise=noise,
         )
@@ -258,7 +225,12 @@ def compute_rfi(
     data, replications and seed; it is built here when not given.
     """
     conditioning = canonical_names(conditioning)
-    _validate_cell(model, data, feature, conditioning)
+    check_partition(data.target_name, feature, conditioning)
+    order = tuple(model.feature_order)
+    if feature not in order:
+        raise SchemaError(f"feature {feature!r} is not a model feature")
+    for name in order + conditioning:
+        data.column_index(name)  # raises SchemaError when absent
     if context is None:
         context = EvaluationContext(model, loss, data, replications, base_seed)
     elif not (
@@ -269,34 +241,31 @@ def compute_rfi(
         and context.base_seed == base_seed
     ):
         raise ValueError("context was built for another model, loss, data or seed")
-    baseline = context.baseline_risk
     if feature in conditioning:
-        # the replacement is the observed column, so every replication
-        # reproduces the baseline losses bit for bit
-        return RfiEstimate(
-            feature, conditioning, baseline, (baseline,) * context.replications,
-            np.zeros(context.X.shape[0]), context.base_seed, context.ratio_floor,
-        )
-    if sampler is None:
-        raise SchemaError("a fitted sampler is required when feature not in G")
-    if sampler.target != feature or set(sampler.conditioning) != set(conditioning):
-        raise SchemaError(
-            f"sampler fitted for {sampler.target!r} given "
-            f"{sampler.conditioning} does not match ({feature!r}, {conditioning})"
-        )
-    required = data.matrix(sampler.required_columns, TEST)
-    j = tuple(model.feature_order).index(feature)
-    Xp = context.X.copy()
-    perturbed: list[float] = []
-    for r, z in enumerate(context.noise):
-        Xp[:, j] = sampler.sample(required, z)
-        losses = loss.pointwise(context.y, model.predict(Xp))
-        perturbed.append(float(losses.mean()))
-        if r == 0:
-            first_diff = losses - context.base_losses
+        # the replacement is the observed column: every replication is the baseline
+        perturbed = [context.baseline_risk] * context.replications
+        first_diff = np.zeros(context.X.shape[0])
+    else:
+        if sampler is None:
+            raise SchemaError("a fitted sampler is required when feature not in G")
+        if sampler.target != feature or set(sampler.conditioning) != set(conditioning):
+            raise SchemaError(
+                f"sampler fitted for {sampler.target!r} given "
+                f"{sampler.conditioning} does not match ({feature!r}, {conditioning})"
+            )
+        required = data.matrix(sampler.required_columns, TEST)
+        j = order.index(feature)
+        Xp = context.X.copy()
+        perturbed = []
+        for r, z in enumerate(context.noise):
+            Xp[:, j] = sampler.sample(required, z)
+            losses = loss.pointwise(context.y, model.predict(Xp))
+            perturbed.append(float(losses.mean()))
+            if r == 0:
+                first_diff = losses - context.base_losses
     return RfiEstimate(
-        feature, conditioning, baseline, tuple(perturbed), first_diff, context.base_seed,
-        context.ratio_floor,
+        feature, conditioning, context.baseline_risk, tuple(perturbed), first_diff,
+        context.base_seed, context.ratio_floor,
     )
 
 

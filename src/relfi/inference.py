@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtr, stdtrit
 
+from .core import is_int
+
 PAIRED_T = "paired-t-one-sided"
 SIGN_FLIP = "sign-flip-exact"
 
@@ -147,8 +149,7 @@ def sign_flip_exact(
     (descending) first, so the bits map to the same differences whatever
     the input order.
     """
-    if (isinstance(max_permutations, bool) or not isinstance(max_permutations, (int, np.integer))
-            or max_permutations < 1):
+    if not is_int(max_permutations, 1):
         raise ValueError("max_permutations must be an integer >= 1")
     d = _as_differences(differences, 1)
     n = d.size

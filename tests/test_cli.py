@@ -800,6 +800,24 @@ class TestMainVerbs:
         model = load_model(model_path)
         assert set(model.feature_order) == {"X1", "X2", "X3", "X4"}
 
+    def test_csv_with_byte_order_mark(self, tmp_path, capsys):
+        # as Excel's "CSV UTF-8" saves a file
+        csv_path = tmp_path / "d.csv"
+        main(["simulate", "experiment_a", "--n", "300", "--seed", "2",
+              "--out", str(csv_path)])
+        csv_path.write_text(csv_path.read_text(), encoding="utf-8-sig")
+        assert csv_path.read_bytes().startswith(b"\xef\xbb\xbfX1,")
+        config_path = tmp_path / "c.yaml"
+        mapping = base_mapping(tmp_path, data={"csv": str(csv_path), "split_column": "split"})
+        config_path.write_text(yaml.safe_dump(mapping))
+        capsys.readouterr()
+        assert main(["validate", str(config_path)]) == 0
+        assert capsys.readouterr().out.strip() == "ok"
+        model_path = tmp_path / "m.yaml"
+        assert main(["fit", str(csv_path), "--target", "Y",
+                     "--split-column", "split", "--out", str(model_path)]) == 0
+        assert tuple(load_model(model_path).feature_order) == ("X1", "X2", "X3", "X4")
+
     def test_fit_empty_features_is_exit_two(self, tmp_path, capsys):
         csv_path = tmp_path / "d.csv"
         main(["simulate", "experiment_a", "--n", "100", "--seed", "2",

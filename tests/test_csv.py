@@ -145,6 +145,17 @@ def test_load_matches_the_line_parser(scratch, case):
     _assert_both_readers_agree(scratch, *case)
 
 
+@pytest.mark.parametrize("text", ["x0,y\n1,2\n3,4\n", 'x0,y\n"1",2\n3,4\n'],
+                         ids=["fast-pass", "line-parser"])
+def test_byte_order_mark_is_not_part_of_the_header(scratch, text):
+    # as Excel's "CSV UTF-8" saves a file
+    scratch.write_text(text)
+    plain = _outcome(scratch, None)
+    scratch.write_bytes(text.encode("utf-8-sig"))
+    assert core.csv_header(scratch) == ["x0", "y"]
+    assert _outcome(scratch, None) == plain
+
+
 def test_nul_and_overlong_cells_take_the_line_parser(scratch):
     scratch.write_bytes(b"y,split\n1,test\x00\n2,train\n")
     assert core._rows_by_loadtxt(scratch, ["y", "split"], 1) is None

@@ -160,6 +160,20 @@ class TestComputeRfi:
     def test_replications_must_be_positive(self, data, model):
         with pytest.raises(ValueError):
             compute_rfi(model, LOSS, data, "X4", (), None, replications=0)
+        # counts are integers, never truncated floats or booleans
+        s = fit_sampler(data, "X4", ())
+        for name, value in (("replications", 2.7), ("replications", True),
+                            ("replications", np.bool_(True)), ("base_seed", 1.9),
+                            ("base_seed", -1), ("base_seed", False)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                compute_rfi(model, LOSS, data, "X4", (), s, **{name: value})
+        with pytest.raises(ValueError, match="replications must be an integer"):
+            rfi_profile(model, LOSS, data, ["X4"], [()], sampler_factory(data), 2.5, 0)
+        est = compute_rfi(model, LOSS, data, "X4", (), s, np.int64(2), np.uint8(3))
+        assert (est.replications, est.base_seed) == (2, 3)
+        assert type(est.base_seed) is int
+        same = compute_rfi(model, LOSS, data, "X4", (), s, 2, 3)
+        assert est.perturbed_risks == same.perturbed_risks
 
     def test_no_test_rows_rejected(self, model):
         vals = np.random.default_rng(0).normal(size=(20, 5))
@@ -212,6 +226,20 @@ class TestEstimateRecord:
         assert est.se == pytest.approx(np.std([0.5, 1.5], ddof=1) / math.sqrt(2))
         assert est.replications == 2
         assert est.replication_risks == ((1.5, 1.0), (2.5, 1.0))
+
+    def test_formula_order(self):
+        # on these risks the other orders of each formula read differently
+        r, b = np.array([1.645, 1.834, 1.253]), 0.757
+        est = self._make(tuple(r.tolist()), baseline=b)
+        root = math.sqrt(3)
+        assert est.point == float(np.mean(r) - b) != float(np.mean(r - b))
+        assert est.ratio == float(np.mean(r) / b) != float(np.mean(r / b))
+        assert est.se == float(np.std(r - b, ddof=1) / root) != float(np.std(r, ddof=1) / root)
+        assert est.ratio_se == float(np.std(r / b, ddof=1) / root) != float(
+            np.std(r, ddof=1) / b / root
+        )
+        assert (est.value(), est.value_se()) == (est.point, est.se)
+        assert (est.value(RATIO), est.value_se(RATIO)) == (est.ratio, est.ratio_se)
 
     def test_ratio_form(self):
         est = self._make((2.0, 4.0), baseline=2.0)
