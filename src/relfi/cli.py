@@ -52,6 +52,7 @@ from .core import (
     is_name,
     is_number,
     load_csv,
+    load_yaml,
     save_csv,
 )
 from .inference import TEST_KINDS, get_test
@@ -298,7 +299,7 @@ def load_config(ref: str, overrides=()) -> ExperimentConfig:
     else:
         raise ConfigError(f"no config file {ref!r}; bundled configs: {', '.join(BUNDLED_CONFIGS)}")
     try:
-        mapping = yaml.safe_load(text)
+        mapping = load_yaml(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{ref}: not valid YAML ({exc})") from None
     for path, value in overrides if isinstance(mapping, dict) else ():

@@ -15,6 +15,7 @@ from sys import float_info
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
+import yaml
 
 TRAIN = "train"
 TEST = "test"
@@ -301,8 +302,15 @@ def save_csv(data: Dataset, path) -> None:
 
 
 def canonical_names(names) -> tuple[str, ...]:
-    """A conditioning set in its one canonical form: distinct names, sorted."""
+    """A conditioning set in its one canonical form: distinct names, sorted; never a string."""
+    if isinstance(names, str):
+        raise SchemaError(f"a set of names must be a list of names, not the string {names!r}")
     return tuple(sorted(str(n) for n in set(names)))
+
+
+def load_yaml(stream):
+    """``yaml.safe_load`` through libyaml's loader when PyYAML was built with it."""
+    return yaml.load(stream, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def is_number(value, kind=(int, float)) -> bool:

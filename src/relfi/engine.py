@@ -16,9 +16,15 @@ from the seed pair (base seed, r), which couples the underlying noise
 across conditioning sets and makes importance-change comparisons a
 matched-noise contrast. Everything that does not depend on the cell is
 therefore per-run work: an ``EvaluationContext`` holds the test matrix,
-the response, the baseline losses and risk, and one block of noise rows
-(one per replication) that every cell shares. Callers scoring many
-cells build it once; ``compute_rfi`` builds its own when given none.
+the response, the baseline losses and risk, one block of noise rows (one
+per replication) that every cell shares, and each test column a sampler
+reads, gathered once. ``compute_rfi`` without ``context=``, ``rfi_profile``
+and ``compute_delta_rfi`` reuse the last context they built when given the
+same model, loss and data objects and equal replications and seed. That
+one context (its test columns, baseline and replications x test rows of
+noise) stays alive until a call with other inputs; as with ``context=``,
+an object changed in place between calls is not read again. ``relfi run``
+builds its own context and does not keep it.
 
 Two boundary cases are exact. A feature inside its own conditioning set
 is replaced by itself (the conditional law is a point mass at the
@@ -157,6 +163,12 @@ def check_ratio_baseline(baseline_risk: float, floor: float) -> None:
         )
 
 
+def _check_counts(replications, base_seed) -> None:
+    for name, value, low in (("replications", replications, 1), ("base_seed", base_seed, 0)):
+        if not is_int(value, low):
+            raise ValueError(f"{name} must be an integer >= {low}")
+
+
 @dataclass(frozen=True, eq=False)
 class EvaluationContext:
     """Per-run state shared by every cell scored on one model and test set.
@@ -180,11 +192,10 @@ class EvaluationContext:
     baseline_risk: float = field(init=False)
     ratio_floor: float = field(init=False)
     noise: np.ndarray = field(init=False)
+    _columns: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name, low in (("replications", 1), ("base_seed", 0)):
-            if not is_int(getattr(self, name), low):
-                raise ValueError(f"{name} must be an integer >= {low}")
+        _check_counts(self.replications, self.base_seed)
         X = self.data.matrix(self.model.feature_order, TEST)
         if X.shape[0] < 1:
             raise SchemaError("no test rows to evaluate on")
@@ -202,6 +213,37 @@ class EvaluationContext:
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+        self._columns.update(zip(self.model.feature_order, X.T))
+
+    def _test_matrix(self, names: Sequence[str]) -> np.ndarray:
+        """``data.matrix(names, TEST)`` from test columns gathered once each (features read
+        ``X``); two cells may gather one column at once, and either copy serves."""
+        matrix = np.empty((self.X.shape[0], len(names)))
+        for j, name in enumerate(names):
+            column = self._columns.get(name)
+            if column is None:
+                column = self._columns[name] = self.data.column(name, TEST)
+                column.setflags(write=False)
+            matrix[:, j] = column
+        return matrix
+
+
+_last_context: EvaluationContext | None = None  # kept by _library_context; see the module docstring
+
+
+def _built_from(context, model, loss, data, replications, base_seed) -> bool:
+    return (context.model is model and context.loss is loss and context.data is data
+            and (context.replications, context.base_seed) == (replications, base_seed))
+
+
+def _library_context(model, loss, data, replications, base_seed) -> EvaluationContext:
+    """The last context built here if built from these inputs, else a new one in its place."""
+    global _last_context
+    _check_counts(replications, base_seed)  # so True never matches a context with 1
+    context = _last_context
+    if context is None or not _built_from(context, model, loss, data, replications, base_seed):
+        context = _last_context = EvaluationContext(model, loss, data, replications, base_seed)
+    return context
 
 
 def compute_rfi(
@@ -222,7 +264,8 @@ def compute_rfi(
     pair; it is ignored (and may be None) when the feature belongs to its
     own conditioning set, where the replacement is the identity.
     ``context`` is the per-run state built from the same model, loss,
-    data, replications and seed; it is built here when not given.
+    data, replications and seed; when not given, the last library call's
+    context is reused if built from these inputs, else one is built.
     """
     conditioning = canonical_names(conditioning)
     check_partition(data.target_name, feature, conditioning)
@@ -232,14 +275,8 @@ def compute_rfi(
     for name in order + conditioning:
         data.column_index(name)  # raises SchemaError when absent
     if context is None:
-        context = EvaluationContext(model, loss, data, replications, base_seed)
-    elif not (
-        context.model is model
-        and context.loss is loss
-        and context.data is data
-        and context.replications == replications
-        and context.base_seed == base_seed
-    ):
+        context = _library_context(model, loss, data, replications, base_seed)
+    elif not _built_from(context, model, loss, data, replications, base_seed):
         raise ValueError("context was built for another model, loss, data or seed")
     if feature in conditioning:
         # the replacement is the observed column: every replication is the baseline
@@ -253,7 +290,7 @@ def compute_rfi(
                 f"sampler fitted for {sampler.target!r} given "
                 f"{sampler.conditioning} does not match ({feature!r}, {conditioning})"
             )
-        required = data.matrix(sampler.required_columns, TEST)
+        required = context._test_matrix(sampler.required_columns)
         j = order.index(feature)
         Xp = context.X.copy()
         perturbed = []
@@ -311,7 +348,9 @@ def rfi_profile(
     A ``sampler_factory`` reads every cell with a nonempty G from one joint
     fitted on the dataset alone, so no cell's bits depend on the others.
     """
-    context = EvaluationContext(model, loss, data, replications, base_seed)
+    if isinstance(features, str):
+        raise SchemaError(f"features must be a list of names, not the string {features!r}")
+    context = _library_context(model, loss, data, replications, base_seed)
     return tuple(
         score_cell(context, feature, cond, sampler_factory)
         for feature, cond in product(features, conditioning_sets)

@@ -151,6 +151,8 @@ def sign_flip_exact(
     """
     if not is_int(max_permutations, 1):
         raise ValueError("max_permutations must be an integer >= 1")
+    if not is_int(seed, 0):
+        raise ValueError("seed must be an integer >= 0")
     d = _as_differences(differences, 1)
     n = d.size
     d = np.sort(d)[::-1]

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 import yaml
 
-from .core import TRAIN, Dataset, is_name, is_number
+from .core import TRAIN, Dataset, is_name, is_number, load_yaml
 
 _INTERCEPT = "(intercept)"
 
@@ -121,7 +121,7 @@ def save_model(model: LinearModel, path) -> None:
 def load_model(path) -> LinearModel:
     with open(path) as fp:
         try:
-            record = yaml.safe_load(fp)
+            record = load_yaml(fp)
         except yaml.YAMLError as exc:
             raise ValueError(f"{path}: not valid YAML ({exc})") from None
     if not isinstance(record, dict) or set(record) != {

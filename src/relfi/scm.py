@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .core import Dataset, holdout_mask_from_seed, is_name, is_number
+from .core import Dataset, holdout_mask_from_seed, is_name, is_number, load_yaml
 
 
 class GraphError(ValueError):
@@ -225,7 +225,7 @@ def load_graph(ref) -> ScmGraph:
         return BUILTIN_GRAPHS[ref]()
     try:
         with open(ref) as fp:
-            mapping = yaml.safe_load(fp)
+            mapping = load_yaml(fp)
     except FileNotFoundError:
         raise GraphError(
             f"no graph file or built-in named {str(ref)!r}; "
@@ -274,12 +274,12 @@ edges:
 
 def builtin_experiment_a() -> ScmGraph:
     """Chain/fork graph: X1 -> X2 -> X3 -> Y and X1 -> X4 -> Y."""
-    return parse_graph(yaml.safe_load(_EXPERIMENT_A))
+    return parse_graph(load_yaml(_EXPERIMENT_A))
 
 
 def builtin_experiment_b() -> ScmGraph:
     """Confounder graph: C drives X2, X3 and Y; X1 is independent of C."""
-    return parse_graph(yaml.safe_load(_EXPERIMENT_B))
+    return parse_graph(load_yaml(_EXPERIMENT_B))
 
 
 BUILTIN_GRAPHS = {

@@ -2,13 +2,16 @@ import dataclasses
 import math
 import re
 import xml.etree.ElementTree as ET
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from relfi import scm
 from relfi.cli import (
+    BUNDLED_CONFIGS,
     ConfigError,
     ExperimentConfig,
     Job,
@@ -25,7 +28,7 @@ from relfi.cli import (
     run_experiment,
     validate_config,
 )
-from relfi.core import TEST, load_csv
+from relfi.core import TEST, load_csv, load_yaml
 from relfi.engine import CSV_HEADER, RATIO, RfiEstimate
 from relfi.models import load_model
 from relfi.scm import builtin_experiment_a, builtin_experiment_b, graph_to_mapping, sample_scm
@@ -183,6 +186,22 @@ class TestConfigParsing:
         b = load_config("experiment_b")
         assert b.features == ("X1", "X2", "X3")
         assert len(b.jobs) == 6
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    def test_libyaml_reads_what_the_python_loader_reads(self, tmp_path):
+        configs = [resources.files("relfi").joinpath("configs", f"{name}.yaml").read_text()
+                   for name in BUNDLED_CONFIGS]
+        edges = "a: 1e3\nb: .inf\nc: 0x10\nd: 1_000\ne: [yes, ~, '007', 2001-01-01]\n"
+        for text in configs + [scm._EXPERIMENT_A, scm._EXPERIMENT_B, edges, "\ufeff" + configs[0]]:
+            assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.safe_load(text)
+        assert load_yaml(configs[0]) == yaml.safe_load(configs[0])
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            with pytest.raises(yaml.YAMLError):
+                yaml.load("target: [unclosed\n", Loader=loader)
+        path = tmp_path / "bad.yaml"
+        path.write_text("target: [unclosed\n")
+        with pytest.raises(ConfigError, match="not valid YAML"):
+            load_config(str(path))
 
 
 class TestConfigHash:

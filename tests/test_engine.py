@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from relfi import engine
 from relfi.core import TEST, Dataset, InvalidPartitionError, SchemaError, SquaredError
 from relfi.engine import (
     CSV_HEADER,
@@ -15,6 +18,7 @@ from relfi.engine import (
     format_conditioning,
     result_row,
     rfi_profile,
+    score_cell,
     write_results_csv,
 )
 from relfi.inference import paired_t_one_sided
@@ -156,6 +160,16 @@ class TestComputeRfi:
             compute_rfi(model, LOSS, data, "X9", (), None, replications=2)
         with pytest.raises(SchemaError):
             compute_rfi(model, LOSS, data, "X4", ("Q",), None, replications=2)
+        # a bare string is not a set of its characters
+        s = fit_sampler(data, "X4", ("X1", "X2"))
+        with pytest.raises(SchemaError, match="not the string 'X2'"):
+            compute_rfi(model, LOSS, data, "X4", "X2", s, replications=2)
+        with pytest.raises(SchemaError, match="not the string 'X1'"):
+            rfi_profile(model, LOSS, data, "X1", [()], sampler_factory(data), 2)
+        with pytest.raises(SchemaError, match="not the string 'X'"):  # each G a string
+            rfi_profile(model, LOSS, data, ["X1"], "X2", sampler_factory(data), 2)
+        with pytest.raises(SchemaError, match="not the string 'X1'"):
+            compute_delta_rfi(model, LOSS, data, "X4", "X1", ("X2",), sampler_factory(data), 2)
 
     def test_replications_must_be_positive(self, data, model):
         with pytest.raises(ValueError):
@@ -181,6 +195,92 @@ class TestComputeRfi:
         s = fit_sampler(d, "X4", ())
         with pytest.raises(SchemaError, match="test rows"):
             compute_rfi(model, LOSS, d, "X4", (), s, replications=2)
+
+
+SMALL = [sample_scm(builtin_experiment_a(), 400, seed=s, test_fraction=0.25) for s in (5, 6)]
+MODELS = [
+    fit_from_dataset(SMALL[0]),
+    LinearModel(("X1", "X3", "X4"), np.array([0.5, 1.0, 1.0]), 0.1),
+]
+FACTORIES = [sampler_factory(d, "knockoff") for d in SMALL]
+CELLS = [("X3", ()), ("X1", ("X2",)), ("X4", ("X1", "X3")), ("X3", ("X3",))]
+CALL = st.tuples(
+    st.sampled_from(["compute_rfi", "rfi_profile", "compute_delta_rfi"]),
+    st.integers(0, 1), st.integers(0, 1), st.sampled_from([1, 3]), st.sampled_from([0, 7]),
+    st.integers(0, len(CELLS) - 1),
+)
+
+
+def same_bits(got, want):
+    assert got.perturbed_risks == want.perturbed_risks
+    assert got.first_differences.tobytes() == want.first_differences.tobytes()
+
+
+class TestLibraryContext:
+    """Library calls reuse the last context built from the same inputs."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(calls=st.lists(CALL, min_size=1, max_size=6))
+    def test_any_interleaving_matches_a_fresh_context(self, calls):
+        for op, m, d, replications, seed, c in calls:
+            model, data, factory = MODELS[m], SMALL[d], FACTORIES[d]
+            feature, cond = CELLS[c]
+            fresh = EvaluationContext(model, LOSS, data, replications, seed)
+            if op == "compute_rfi":
+                s = None if feature in cond else factory(feature, cond)
+                same_bits(compute_rfi(model, LOSS, data, feature, cond, s, replications, seed),
+                          compute_rfi(model, LOSS, data, feature, cond, s, replications, seed,
+                                      context=fresh))
+            elif op == "rfi_profile":
+                got = rfi_profile(model, LOSS, data, [feature, "X4"], [cond, ("X2",)], factory,
+                                  replications, seed)
+                cells = [(f, g) for f in (feature, "X4") for g in (cond, ("X2",))]
+                for est, (f, g) in zip(got, cells, strict=True):
+                    same_bits(est, score_cell(fresh, f, g, factory))
+            else:
+                delta = compute_delta_rfi(model, LOSS, data, feature, (), ("X2",), factory,
+                                          replications, seed)
+                same_bits(delta.base, score_cell(fresh, feature, (), factory))
+                same_bits(delta.extended, score_cell(fresh, feature, ("X2",), factory))
+
+    def test_slot_serves_only_the_same_inputs(self):
+        data, model = SMALL[0], MODELS[0]
+        twin = LinearModel(model.feature_order, model.coefficients.copy(), model.intercept)
+        copy = Dataset(data.variable_names, data.values.copy(), data.target_name, data.test_mask)
+        for call in ((twin, LOSS, data, 3, 4), (model, SquaredError(), data, 3, 4),
+                     (model, LOSS, copy, 3, 4), (model, LOSS, data, 2, 4),
+                     (model, LOSS, data, 3, 5)):
+            compute_rfi(model, LOSS, data, "X3", ("X3",), None, 3, 4)
+            kept = engine._last_context
+            rfi_profile(model, LOSS, data, ["X3"], [("X3",)], FACTORIES[0], np.int64(3), 4)
+            assert engine._last_context is kept
+            compute_rfi(*call[:3], "X3", ("X3",), None, *call[3:])
+            new = engine._last_context
+            assert new is not kept
+            assert (new.model, new.loss, new.data, new.replications, new.base_seed) == call
+
+    def test_counts_are_checked_before_the_slot(self):
+        data, model = SMALL[0], MODELS[0]
+        compute_rfi(model, LOSS, data, "X3", ("X3",), None, 1, 0)
+        for replications, seed in ((True, 0), (1.0, 0), (1, False)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                compute_rfi(model, LOSS, data, "X3", ("X3",), None, replications, seed)
+            with pytest.raises(ValueError, match="must be an integer"):
+                rfi_profile(model, LOSS, data, ["X3"], [()], FACTORIES[0], replications, seed)
+
+    def test_column_reads_match_data_matrix(self):
+        data = SMALL[1]
+        ctx = EvaluationContext(MODELS[1], LOSS, data, 2, 0)
+        knockoff = FACTORIES[1]("X2", ("X1", "X4"))
+        assert knockoff.required_columns == ("X2", "X1", "X4")
+        for names in ((), ("X3",), ("X2",), ("X4", "X3", "X1"), knockoff.required_columns,
+                      ("X2", "X2")):
+            for _ in range(2):  # first gather, then the kept columns
+                got, want = ctx._test_matrix(names), data.matrix(names, TEST)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+        assert set(ctx._columns) == {"X1", "X2", "X3", "X4"}
+        assert not any(column.flags.writeable for column in ctx._columns.values())
 
 
 class TestRatioOnPerfectFit:

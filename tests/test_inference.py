@@ -227,6 +227,14 @@ class TestSignFlip:
             sign_flip_exact([1.0, 2.0], max_permutations=perms)
         assert sign_flip_exact([1.0, 2.0], max_permutations=np.int64(4)).p_value == 0.25
 
+    @pytest.mark.parametrize("seed", [None, True, 1.5, -1, "3"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # None would seed from OS entropy and make a Monte-Carlo p-value unrepeatable
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            sign_flip_exact(np.arange(1.0, 30.0), max_permutations=64, seed=seed)
+        a = sign_flip_exact(np.arange(-3.0, 30.0), max_permutations=64, seed=np.uint8(5))
+        assert a == sign_flip_exact(np.arange(-3.0, 30.0), max_permutations=64, seed=5)
+
     @settings(PROFILE, max_examples=60)
     @given(d=st.lists(TIED, min_size=1, max_size=12))
     @example(d=[5e-324, -5e-324, 5e-324, 1e-310, -3e-310])  # tol underflows to 0

@@ -393,6 +393,18 @@ class TestFitSampler:
     def test_unknown_column_surfaces(self, data_a):
         with pytest.raises(SchemaError):
             fit_sampler(data_a, "X9", ())
+        # a bare string is refused, not read as its characters
+        for fit in (lambda g: fit_sampler(data_a, "X2", g), lambda g: sampler_factory(data_a)("X2", g)):
+            with pytest.raises(SchemaError, match="not the string 'X1'"):
+                fit("X1")
+
+    def test_string_is_not_a_set_of_its_characters(self):
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=(200, 4))
+        data = Dataset(("A", "B", "AB", "Y"), values, "Y", np.arange(200) % 4 == 0)
+        with pytest.raises(SchemaError, match="not the string 'AB'"):
+            fit_sampler(data, "A", "AB")
+        assert fit_sampler(data, "A", ("AB",)).conditioning == ("AB",)
 
 
 def _subset_fit(data, feature, conditioning, kind):
