@@ -52,7 +52,6 @@ from .samplers import (
     fit_gaussian,
     fit_sampler,
     knockoff_sampler,
-    sample_replacement,
     sampler_factory,
 )
 from .scm import (
@@ -112,7 +111,6 @@ __all__ = [
     "fit_gaussian",
     "fit_sampler",
     "knockoff_sampler",
-    "sample_replacement",
     "sampler_factory",
     "Edge",
     "GraphError",

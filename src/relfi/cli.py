@@ -347,7 +347,8 @@ def read_inputs(config: ExperimentConfig) -> tuple[Dataset, LinearModel | None]:
 
     The data source's names (the graph's nodes, or the CSV header without
     the split column) are read first, and every target, feature and job
-    name is checked against them in one batch with the model file. Then
+    name is checked against them in one batch with the model file and
+    ``output``, whose nearest existing path must be a directory. Then
     every data row is read, or the graph simulated. Any problem is a
     ConfigError, so a run past this stage fails only in fitting or scoring.
     """
@@ -375,6 +376,11 @@ def read_inputs(config: ExperimentConfig) -> tuple[Dataset, LinearModel | None]:
                     f"model: {config.model!r} was fit on features "
                     f"{sorted(model.feature_order)}, config expects {sorted(config.features)}"
                 )
+    existing = os.path.abspath(config.output)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        problems.append(f"output: {existing!r} exists and is not a directory")
     if problems:
         raise ConfigError("\n".join(problems))
     if graph is not None:

@@ -12,7 +12,7 @@ import csv
 import warnings
 from dataclasses import dataclass
 from sys import float_info
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 import yaml
@@ -359,7 +359,6 @@ def check_partition(
         raise InvalidPartitionError("; ".join(problems))
 
 
-@runtime_checkable
 class PredictiveModel(Protocol):
     """A fixed prediction function over a named, ordered feature set."""
 
@@ -371,20 +370,14 @@ class PredictiveModel(Protocol):
         ...
 
 
-@runtime_checkable
 class LossFunction(Protocol):
     """Pointwise nonnegative loss."""
-
-    @property
-    def name(self) -> str: ...
 
     def pointwise(self, y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray: ...
 
 
 class SquaredError:
     """Squared error, the built-in loss."""
-
-    name = "squared"
 
     def pointwise(self, y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
         y_true = np.asarray(y_true, dtype=float)

@@ -91,11 +91,6 @@ class RfiEstimate:
     def replications(self) -> int:
         return len(self.perturbed_risks)
 
-    @property
-    def replication_risks(self) -> tuple[tuple[float, float], ...]:
-        """(perturbed, baseline) per replication."""
-        return tuple((r, self.baseline_risk) for r in self.perturbed_risks)
-
     def value(self, form: str = DIFFERENCE) -> float:
         """Mean risk under replacement minus the baseline, or divided by it in ratio form."""
         risks, b = self.perturbed_risks, self.baseline_risk
@@ -348,8 +343,9 @@ def rfi_profile(
     A ``sampler_factory`` reads every cell with a nonempty G from one joint
     fitted on the dataset alone, so no cell's bits depend on the others.
     """
-    if isinstance(features, str):
-        raise SchemaError(f"features must be a list of names, not the string {features!r}")
+    for name, value in (("features", features), ("conditioning_sets", conditioning_sets)):
+        if isinstance(value, str):
+            raise SchemaError(f"{name} must be a list, not the string {value!r}")
     context = _library_context(model, loss, data, replications, base_seed)
     return tuple(
         score_cell(context, feature, cond, sampler_factory)

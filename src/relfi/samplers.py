@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TEST, TRAIN, Dataset, SchemaError, canonical_names, check_partition
+from .core import TRAIN, Dataset, SchemaError, canonical_names, check_partition
 
 
 class CovarianceError(RuntimeError):
@@ -57,10 +57,6 @@ class CovarianceError(RuntimeError):
 
 class KnockoffError(RuntimeError):
     """Knockoff construction could not produce a valid joint."""
-
-
-class SamplerStateError(RuntimeError):
-    """Sampler used before fitting or with mismatched columns."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,15 +141,21 @@ def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-def _ridged_joint(names, mean, cov, ridge: float | None) -> GaussianJoint:
-    """The joint with each variance of ``cov`` inflated by the share ``ridge``
-    (None: 1e-8) of itself, or of the mean variance where it is zero."""
+def _ridge_share(ridge: float | None) -> float:
+    """``ridge``, None read as 1e-8, once checked to be a finite number >= 0."""
     ridge = 1e-8 if ridge is None else ridge
     if not (np.isfinite(ridge) and ridge >= 0):
         raise ValueError("ridge must be a finite number >= 0")
+    return float(ridge)
+
+
+def _ridged_joint(names, mean, cov, ridge: float | None) -> GaussianJoint:
+    """The joint with each variance of ``cov`` inflated by the share ``ridge``
+    (None: 1e-8) of itself, or of the mean variance where it is zero."""
+    ridge = _ridge_share(ridge)
     var = np.diag(cov)
     var = np.where(var > 0, var, var.mean())
-    return GaussianJoint(names, mean, cov + np.diag(ridge * var), float(ridge))
+    return GaussianJoint(names, mean, cov + np.diag(ridge * var), ridge)
 
 
 def conditional_gaussian_params(
@@ -185,15 +187,6 @@ def conditional_gaussian_params(
     return slope, intercept, max(variance, 0.0)
 
 
-def _check_rows(rows: np.ndarray, expected: int) -> np.ndarray:
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != expected:
-        raise SamplerStateError(
-            f"sampler expects {expected} conditioning column(s), got shape {rows.shape}"
-        )
-    return rows
-
-
 @dataclass(frozen=True, eq=False)
 class _AffineSampler:
     """Replacement draws ``intercept + rows @ slope + scale * z``.
@@ -216,7 +209,11 @@ class _AffineSampler:
             object.__setattr__(self, "required_columns", self.conditioning)
 
     def sample(self, rows: np.ndarray, z: np.ndarray) -> np.ndarray:
-        rows = _check_rows(rows, len(self.required_columns))
+        rows, expected = np.asarray(rows, dtype=float), len(self.required_columns)
+        if rows.ndim != 2 or rows.shape[1] != expected:
+            raise SchemaError(
+                f"sampler expects {expected} conditioning column(s), got shape {rows.shape}"
+            )
         return self.intercept + rows @ self.slope + self.scale * z
 
 
@@ -278,6 +275,13 @@ def knockoff_sampler(joint: GaussianJoint) -> KnockoffSampler:
 
 SAMPLER_KINDS = ("gaussian", "knockoff")
 
+
+def _check_options(kind: str, ridge: float | None) -> None:
+    if kind not in SAMPLER_KINDS:
+        raise ValueError(f"unknown sampler kind {kind!r}; available: {', '.join(SAMPLER_KINDS)}")
+    _ridge_share(ridge)
+
+
 # cap on a joint over k > 4 columns: (n_train + k) * k * k multiply-adds, its
 # covariance plus a k x k solve; it keeps block and covariance under 2**28 / k bytes
 JOINT_MAX_FLOPS = 2**25
@@ -315,10 +319,7 @@ def fit_sampler(
     a ``training_moments`` of ``data``, supplies the joint as its block when
     the conditioning set is nonempty and it covers the feature and the set.
     """
-    if kind not in SAMPLER_KINDS:
-        raise ValueError(
-            f"unknown sampler kind {kind!r}; available: {', '.join(SAMPLER_KINDS)}"
-        )
+    _check_options(kind, ridge)
     conditioning = canonical_names(conditioning)
     if feature in conditioning:
         raise SchemaError(
@@ -348,8 +349,9 @@ def sampler_factory(data: Dataset, kind: str = "gaussian", ridge: float | None =
 
     Fits the joint of every column but the response now, on the caller's thread, when
     k <= 4 (at most twice any cell's block) or within ``JOINT_MAX_FLOPS``; fits run one
-    at a time.
+    at a time. An unknown ``kind`` or a bad ``ridge`` is refused before any of that.
     """
+    _check_options(kind, ridge)
     columns = [n for n in data.variable_names if n != data.target_name]
     k = len(columns)
     cheap = k <= 4 or (data.n_train + k) * k * k <= JOINT_MAX_FLOPS
@@ -361,14 +363,3 @@ def sampler_factory(data: Dataset, kind: str = "gaussian", ridge: float | None =
             return fit_sampler(data, feature, conditioning, kind=kind, ridge=ridge, moments=joint)
 
     return factory
-
-
-def sample_replacement(sampler: _AffineSampler, data: Dataset, seed, split: str = TEST) -> np.ndarray:
-    """One replacement column for the given rows, with noise drawn from ``seed``.
-
-    Extracts exactly the sampler's required columns, so no implementation
-    ever sees the response or the unconditioned features.
-    """
-    rows = data.matrix(sampler.required_columns, split)
-    z = np.random.default_rng(seed).standard_normal(rows.shape[0])
-    return sampler.sample(rows, z)

@@ -506,17 +506,22 @@ class TestMainVerbs:
         assert main(["validate", str(path)]) == 2
         assert "data:" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("case", ["job-name", "csv-row", "model-file", "graph"])
+    @pytest.mark.parametrize(
+        "case", ["job-name", "csv-row", "model-file", "graph", "output-file", "output-under-file"]
+    )
     def test_bad_input_stops_run_like_validate(self, tmp_path, capsys, case):
         # every input is read before the output directory is made
         csv_path = tmp_path / "d.csv"
         csv_path.write_text("X1,X2,X3,X4,Y\n" + "1,2,3,4,5\n" * 5 + "1,2,x,4,5\n")
+        (tmp_path / "afile").write_text("kept\n")
         overrides = {
             "job-name": {"jobs": [{"feature": "X3", "conditioning": []},
                                   {"feature": "X4", "conditioning": ["Q"]}]},
             "csv-row": {"data": {"csv": str(csv_path)}},
             "model-file": {"model": str(tmp_path / "none.yaml")},
             "graph": {"data": {"graph": "mystery", "n": 100}},
+            "output-file": {"output": str(tmp_path / "afile")},
+            "output-under-file": {"output": str(tmp_path / "afile" / "sub")},
         }[case]
         path = tmp_path / "c.yaml"
         path.write_text(yaml.safe_dump(base_mapping(tmp_path, **overrides)))
@@ -526,6 +531,7 @@ class TestMainVerbs:
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err == f"config error: {problems}"
         assert not (tmp_path / "out").exists()
+        assert (tmp_path / "afile").read_text() == "kept\n"
 
     @pytest.mark.parametrize("key", ["data.graph", "model"])
     def test_file_values_follow_the_config_rules(self, tmp_path, capsys, key):

@@ -8,8 +8,12 @@ not depend on the number of workers (both values are run here) or of
 BLAS threads: a one-column variance, whose dot product BLAS would split
 across its threads, is summed by numpy instead.
 The hashes hold within the environment they were recorded in (Python
-3.11.7, numpy 2.4.6, scipy 1.17.1); elsewhere a mismatch means the
-environment changed, not necessarily the code.
+3.11.7, numpy 2.4.6, scipy 1.17.1, whose OpenBLAS 0.3.31 is built with
+DYNAMIC_ARCH and picked its SkylakeX kernel on that machine;
+``scipy_openblas_get_corename64_`` in numpy's bundled OpenBLAS names the
+kernel). They fail under another kernel of the same build, such as
+``OPENBLAS_CORETYPE=Haswell`` or ``Sandybridge``, so elsewhere a mismatch
+means the environment or the CPU changed, not necessarily the code.
 """
 
 import dataclasses

@@ -21,13 +21,11 @@ from relfi.samplers import (
     GaussianJoint,
     KnockoffSampler,
     PointMassSampler,
-    SamplerStateError,
     conditional_gaussian_params,
     equicorrelated_knockoff_s,
     fit_gaussian,
     fit_sampler,
     knockoff_sampler,
-    sample_replacement,
     sampler_factory,
     training_moments,
 )
@@ -39,6 +37,12 @@ from relfi.scm import (
     builtin_experiment_b,
     sample_scm,
 )
+
+
+def draw(sampler, data, seed):
+    """One replacement column for the test rows, with noise drawn from ``seed``."""
+    rows = data.matrix(sampler.required_columns, TEST)
+    return sampler.sample(rows, np.random.default_rng(seed).standard_normal(rows.shape[0]))
 
 
 @pytest.fixture(scope="module")
@@ -152,10 +156,10 @@ class TestConditionalParams:
 class TestGaussianSampler:
     def test_deterministic(self, data_a):
         s = fit_sampler(data_a, "X4", ("X2",))
-        a = sample_replacement(s, data_a, seed=5)
-        b = sample_replacement(s, data_a, seed=5)
+        a = draw(s, data_a, seed=5)
+        b = draw(s, data_a, seed=5)
         assert np.array_equal(a, b)
-        c = sample_replacement(s, data_a, seed=6)
+        c = draw(s, data_a, seed=6)
         assert not np.array_equal(a, c)
 
     def test_noise_stream_shared_across_conditioning_sets(self, data_a):
@@ -163,8 +167,8 @@ class TestGaussianSampler:
         # same standard-normal vector whatever the conditioning set is
         s_empty = fit_sampler(data_a, "X4", ())
         s_cond = fit_sampler(data_a, "X4", ("X2",))
-        out_empty = sample_replacement(s_empty, data_a, seed=3)
-        out_cond = sample_replacement(s_cond, data_a, seed=3)
+        out_empty = draw(s_empty, data_a, seed=3)
+        out_cond = draw(s_cond, data_a, seed=3)
         z_empty = (out_empty - s_empty.intercept) / s_empty.scale
         rows = data_a.matrix(("X2",), TEST)
         z_cond = (out_cond - s_cond.intercept - rows @ s_cond.slope) / s_cond.scale
@@ -172,7 +176,7 @@ class TestGaussianSampler:
 
     def test_conditional_moments(self, data_a):
         s = fit_sampler(data_a, "X4", ("X2",))
-        out = sample_replacement(s, data_a, seed=8)
+        out = draw(s, data_a, seed=8)
         m = out.shape[0]
         # population law of the replacement: slope 0.5 on X2, total var 2
         assert abs(out.mean()) < 4 * np.sqrt(2.0 / m)
@@ -185,7 +189,7 @@ class TestGaussianSampler:
         # Cov(replacement, X1) must be slope * Cov(X2, X1) = 0.5, not the
         # original Cov(X4, X1) = 1: the draw forgets X1 given X2.
         s = fit_sampler(data_a, "X4", ("X2",))
-        out = sample_replacement(s, data_a, seed=8)
+        out = draw(s, data_a, seed=8)
         x1 = data_a.matrix(("X1",), TEST)[:, 0]
         cov_r = np.cov(out, x1, ddof=1)[0, 1]
         assert abs(cov_r - 0.5) < 0.06
@@ -193,7 +197,7 @@ class TestGaussianSampler:
 
     def test_residual_independent_of_response(self, data_a):
         s = fit_sampler(data_a, "X4", ("X2",))
-        out = sample_replacement(s, data_a, seed=8)
+        out = draw(s, data_a, seed=8)
         rows = data_a.matrix(("X2",), TEST)
         resid = out - s.intercept - rows @ s.slope
         y = data_a.target_values(TEST)
@@ -207,14 +211,12 @@ class TestGaussianSampler:
         out = s.sample(rows, z)
         assert np.array_equal(out, s.sample(rows, z))
         assert np.allclose(out, s.intercept + rows @ s.slope + s.scale * z, rtol=0, atol=1e-12)
-        assert np.array_equal(sample_replacement(s, data_a, seed=4),
-                              s.sample(rows, np.random.default_rng(4).standard_normal(rows.shape[0])))
 
     def test_required_columns_contract(self, data_a):
         s = fit_sampler(data_a, "X4", ("X2", "X1"))
         assert s.required_columns == ("X1", "X2")
         assert s.conditioning == ("X1", "X2")
-        with pytest.raises(SamplerStateError):
+        with pytest.raises(SchemaError):
             s.sample(np.zeros((3, 1)), np.random.default_rng(0).standard_normal(3))
 
     def test_conditioning_set_canonicalized(self, data_a):
@@ -235,8 +237,11 @@ class TestPointMass:
         s = fit_sampler(data, "a", ("b",))
         assert isinstance(s, PointMassSampler)
         assert s.intercept == 7.0
-        out = sample_replacement(s, data, seed=0)
+        out = draw(s, data, seed=0)
         assert np.array_equal(out, np.full(4, 7.0))
+        # a point mass reads no ridge, but a bad one is refused all the same
+        with pytest.raises(ValueError, match="ridge must be a finite number >= 0"):
+            fit_sampler(data, "a", ("b",), ridge=np.nan)
 
     def test_direct_interface(self):
         s = PointMassSampler("a", (), np.empty(0), 2.5, 0.0)
@@ -245,7 +250,7 @@ class TestPointMass:
             s.sample(np.empty((3, 0)), np.random.default_rng(1).standard_normal(3)),
             np.full(3, 2.5),
         )
-        with pytest.raises(SamplerStateError):
+        with pytest.raises(SchemaError):
             s.sample(np.zeros((3, 1)), np.random.default_rng(0).standard_normal(3))
 
 
@@ -335,8 +340,8 @@ class TestKnockoffSampler:
 
     def test_deterministic(self, data_a):
         s = fit_sampler(data_a, "X4", ("X2",), kind="knockoff")
-        a = sample_replacement(s, data_a, seed=5)
-        b = sample_replacement(s, data_a, seed=5)
+        a = draw(s, data_a, seed=5)
+        b = draw(s, data_a, seed=5)
         assert np.array_equal(a, b)
 
     def test_required_columns_include_target(self, data_a):
@@ -348,7 +353,7 @@ class TestKnockoffSampler:
 
     def test_exchangeable_moments(self, data_a):
         s = fit_sampler(data_a, "X4", ("X2",), kind="knockoff")
-        out = sample_replacement(s, data_a, seed=8)
+        out = draw(s, data_a, seed=8)
         m = out.shape[0]
         x2 = data_a.matrix(("X2",), TEST)[:, 0]
         assert abs(out.mean()) < 4 * np.sqrt(2.0 / m)
@@ -360,7 +365,7 @@ class TestKnockoffSampler:
     def test_knockoff_decorrelates_from_original(self, data_a):
         # Cov(knockoff, original) = Var - s, strictly below Var
         s = fit_sampler(data_a, "X4", ("X2",), kind="knockoff")
-        out = sample_replacement(s, data_a, seed=8)
+        out = draw(s, data_a, seed=8)
         x4 = data_a.matrix(("X4",), TEST)[:, 0]
         names = ("X4", "X2")
         joint = fit_gaussian(data_a.matrix(names, TRAIN), names)
@@ -389,6 +394,19 @@ class TestFitSampler:
         factory = sampler_factory(data_a, kind="knockoff")
         s = factory("X4", ("X2",))
         assert isinstance(s, KnockoffSampler)
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [({"kind": "bogus"}, "unknown sampler kind 'bogus'")]
+        + [({"ridge": r}, "ridge must be a finite number >= 0") for r in (np.nan, np.inf, -1.0)],
+        ids=["bogus", "nan", "inf", "-1"],
+    )
+    def test_factory_refuses_bad_options_before_fitting(self, data_a, monkeypatch, options, message):
+        calls = []
+        monkeypatch.setattr(samplers, "training_moments", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=message):
+            sampler_factory(data_a, **options)
+        assert calls == []
 
     def test_unknown_column_surfaces(self, data_a):
         with pytest.raises(SchemaError):
@@ -710,7 +728,7 @@ class TestUnitFree:
         x = np.random.default_rng(1).normal(size=20000)
         values = np.column_stack([x, np.full(20000, value), -x])
         data = Dataset(("a", "b", "Y"), values, "Y", np.arange(20000) >= 18000)
-        marginal = sample_replacement(fit_sampler(data, "a", ()), data, seed=2)
+        marginal = draw(fit_sampler(data, "a", ()), data, seed=2)
         for moments in (None, training_moments(data, ("a", "b"))):
             s = fit_sampler(data, "a", ("b",), moments=moments)
-            assert np.abs(sample_replacement(s, data, seed=2) - marginal).max() <= 1e-12
+            assert np.abs(draw(s, data, seed=2) - marginal).max() <= 1e-12
