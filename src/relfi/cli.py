@@ -26,6 +26,7 @@ import html
 import json
 import math
 import os
+import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -33,6 +34,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, NamedTuple
 
+import numpy as np
+import scipy
 import yaml
 from scipy.special import stdtrit
 
@@ -428,8 +431,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     """Execute every job and write results.csv, figure.svg, manifest.yaml.
 
     Cells run concurrently up to ``workers``; assembly order, and
-    therefore every output byte, does not depend on scheduling. On a
-    failing cell the rows completed before it are still written.
+    therefore every output byte, does not depend on scheduling. Once the
+    model is fitted, the sampler factory's training joint is fitted on a
+    pool thread while the evaluation context is built on this one. On a
+    failing cell the rows completed before it are still written; a run
+    that fails before its first cell writes no ``results.csv``.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -443,21 +449,23 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     csv_path = os.path.join(config.output, "results.csv")
     svg_path = os.path.join(config.output, "figure.svg")
     manifest_path = os.path.join(config.output, "manifest.yaml")
-    context = engine.EvaluationContext(
-        model, SquaredError(), data, config.replications, config.seed
-    )
-    if config.form == engine.RATIO:
-        engine.check_ratio_baseline(context.baseline_risk, context.ratio_floor)
-
-    fit = sampler_factory(data, config.sampler_kind, config.ridge)
-
-    def evaluate(cell: tuple[str, tuple[str, ...]]):
-        estimate = engine.score_cell(context, *cell, fit)
-        return estimate, test(estimate.first_differences)
-
     estimates: list[engine.RfiEstimate] = []
     rows: list[list[str]] = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
+        factory = pool.submit(sampler_factory, data, config.sampler_kind, config.ridge)
+        context = engine.EvaluationContext(
+            model, SquaredError(), data, config.replications, config.seed
+        )
+        if config.form == engine.RATIO:
+            engine.check_ratio_baseline(context.baseline_risk, context.ratio_floor)
+        # read outside the try below, so a joint that fails writes no results.csv;
+        # a context failure above still wins, as when the two ran in turn
+        fit = factory.result()
+
+        def evaluate(cell: tuple[str, tuple[str, ...]]):
+            estimate = engine.score_cell(context, *cell, fit)
+            return estimate, test(estimate.first_differences)
+
         try:  # map cancels the cells that have not started once one raises
             for estimate, result in pool.map(evaluate, cells):
                 estimates.append(estimate)
@@ -485,10 +493,24 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
         "wall_time_seconds": round(seconds, 3),
         "results_csv": "results.csv",
         "figure_svg": "figure.svg",
+        "environment": _environment(),
     }
     with open(manifest_path, "w") as fp:
         yaml.safe_dump(manifest, fp, sort_keys=False)
     return RunResult(csv_path, svg_path, manifest_path, len(rows), seconds)
+
+
+def _environment() -> dict:
+    """The versions and machine behind a run's bytes, for ``manifest.yaml``."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:

@@ -107,6 +107,11 @@ def _topological_order(nodes: tuple[str, ...], edges: tuple[Edge, ...]) -> tuple
         raise GraphError(f"cycle detected involving: {cycle}") from None
 
 
+# Rows per block of structural equations: a block of every column stays in
+# cache while each equation reads and writes it, however many rows there are.
+_EQUATION_BLOCK_ROWS = 4096
+
+
 def sample_scm(
     graph: ScmGraph,
     n: int,
@@ -121,19 +126,29 @@ def sample_scm(
     depend on how the topological sort broke ties. The noise is drawn
     into the array that becomes ``Dataset.values``: each node's value
     overwrites its own noise column, which no other node reads. The
-    train/test split comes from the same seed on an independent stream.
+    equations run over blocks of rows, each block through every node in
+    topological order; every entry sees the same operations in the same
+    order as a whole-column pass, so the bits do not depend on the block
+    size. The train/test split comes from the same seed on an independent
+    stream.
     """
     mask = holdout_mask_from_seed(n, test_fraction, seed)
     if target is None:
         target = "Y" if "Y" in graph.nodes else graph.nodes[-1]
     rng = np.random.default_rng(int(seed))
     values = rng.standard_normal((n, len(graph.nodes)))
+    equations = []
     for name in graph.topological_order:
         i = graph.node_index(name)
-        col = graph.noise_scale[i] * values[:, i]
-        for e in graph.parents_of(name):
-            col = col + e.coefficient * values[:, graph.node_index(e.parent)]
-        values[:, i] = col
+        parents = [(e.coefficient, graph.node_index(e.parent)) for e in graph.parents_of(name)]
+        equations.append((i, graph.noise_scale[i], parents))
+    for start in range(0, n, _EQUATION_BLOCK_ROWS):
+        block = values[start:start + _EQUATION_BLOCK_ROWS]
+        for i, scale, parents in equations:
+            col = scale * block[:, i]
+            for coefficient, p in parents:
+                col += coefficient * block[:, p]
+            block[:, i] = col
     return Dataset(graph.nodes, values, target, mask)
 
 

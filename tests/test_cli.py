@@ -1,12 +1,16 @@
 import dataclasses
 import math
+import os
+import platform
 import re
+import threading
 import xml.etree.ElementTree as ET
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import yaml
 
 from relfi import scm
@@ -318,6 +322,14 @@ class TestRunExperiment:
         assert manifest["rows"] == 2
         assert manifest["results_csv"] == "results.csv"
         assert manifest["wall_time_seconds"] >= 0
+        environment = manifest["environment"]
+        assert list(environment) == [
+            "python", "numpy", "scipy", "blas", "blas_version", "cpu_count"
+        ]
+        assert environment["python"] == platform.python_version()
+        assert environment["numpy"] == np.__version__
+        assert environment["scipy"] == scipy.__version__
+        assert environment["cpu_count"] == os.cpu_count()
         svg = (tmp_path / "out" / "figure.svg").read_text()
         assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
 
@@ -640,6 +652,29 @@ class TestMainVerbs:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             run_experiment(config, workers=jobs)
 
+    def test_no_training_rows_is_exit_three(self, tmp_path, capsys):
+        # the model comes from a file, so only the sampler needs training rows
+        csv_path = tmp_path / "data.csv"
+        model_path = tmp_path / "model.yaml"
+        assert main(["simulate", "experiment_b", "--n", "300", "--seed", "3",
+                     "--out", str(csv_path)]) == 0
+        assert main(["fit", str(csv_path), "--target", "Y",
+                     "--split-column", "split", "--out", str(model_path)]) == 0
+        csv_path.write_text(csv_path.read_text().replace(",train\n", ",test\n"))
+        mapping = base_mapping(
+            tmp_path, data={"csv": str(csv_path), "split_column": "split"},
+            features=["C", "X1", "X2", "X3"], model=str(model_path),
+            jobs=[{"feature": "X2", "conditioning": ["C"]}],
+        )
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        threads = threading.active_count()
+        capsys.readouterr()
+        assert main(["run", str(path), "--jobs", "2"]) == 3
+        assert "no training rows to fit a sampler on" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.csv").exists()
+        assert threading.active_count() == threads
+
     def test_ratio_form_refused_on_perfect_fit(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=200).tolist(), rng.normal(size=200).tolist()
@@ -652,9 +687,11 @@ class TestMainVerbs:
         )
         path = tmp_path / "c.yaml"
         path.write_text(yaml.safe_dump(mapping))
+        threads = threading.active_count()
         assert main(["run", str(path)]) == 3
         assert "ratio form" in capsys.readouterr().err
         assert not (tmp_path / "out" / "results.csv").exists()
+        assert threading.active_count() == threads
         assert main(["run", str(path), "--form", "difference"]) == 0
 
     @pytest.mark.parametrize(

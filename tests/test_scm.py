@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from relfi import scm
 from relfi.scm import (
     Edge,
     GraphError,
@@ -16,6 +17,8 @@ from relfi.scm import (
     parse_graph,
     sample_scm,
 )
+
+_BLOCK = scm._EQUATION_BLOCK_ROWS
 
 
 def partial_correlation(cov, i, j, given):
@@ -221,7 +224,8 @@ class TestSampling:
         assert np.max(np.abs(emp - target)) < 5 * se.max()
 
     def test_same_bits_as_a_separate_noise_block(self):
-        # the reference keeps its noise block beside the values
+        # the reference keeps its noise block beside the values and runs each
+        # equation over whole columns, so it sees no row blocks
         rng = np.random.default_rng(21)
         order = [f"v{i}" for i in rng.permutation(8)]
         edges = tuple(
@@ -230,16 +234,18 @@ class TestSampling:
         )
         g = ScmGraph(tuple(f"v{i}" for i in range(8)), tuple(rng.uniform(0.1, 2, 8)), edges)
         assert g.topological_order != g.nodes
-        data = sample_scm(g, 1001, seed=13)
-        noise = np.random.default_rng(13).standard_normal((1001, 8))
-        values = np.empty((1001, 8))
-        for name in g.topological_order:
-            i = g.node_index(name)
-            col = g.noise_scale[i] * noise[:, i]
-            for e in g.parents_of(name):
-                col = col + e.coefficient * values[:, g.node_index(e.parent)]
-            values[:, i] = col
-        assert data.values.tobytes() == values.tobytes()
+        # inside one block, exactly one block, several blocks and a ragged tail
+        for n in (1001, _BLOCK, 3 * _BLOCK + 17):
+            data = sample_scm(g, n, seed=13)
+            noise = np.random.default_rng(13).standard_normal((n, 8))
+            values = np.empty((n, 8))
+            for name in g.topological_order:
+                i = g.node_index(name)
+                col = g.noise_scale[i] * noise[:, i]
+                for e in g.parents_of(name):
+                    col = col + e.coefficient * values[:, g.node_index(e.parent)]
+                values[:, i] = col
+            assert data.values.tobytes() == values.tobytes(), n
 
     def test_deterministic(self):
         g = builtin_experiment_b()
