@@ -14,7 +14,8 @@ data source's names before it reads any rows; ``run`` and ``validate``
 share one input stage, ``read_inputs``, so ``validate`` reports exactly
 what would stop ``run``. Exit codes: 0 on success, 2 for a problem with
 any input, 3 for a failure while fitting or scoring (a rank-deficient
-fit, a singular covariance, no test rows, the ratio form on a perfect fit).
+fit, a singular covariance, no test rows, a model whose test losses are
+not finite, the ratio form on a perfect fit).
 """
 
 from __future__ import annotations

@@ -174,6 +174,7 @@ class EvaluationContext:
     ``check_ratio_baseline``) and ``noise``: row r is the standard-normal
     vector drawn from the seed pair (base seed, r), one entry per test row.
     All arrays are locked read-only, so one context can serve concurrent cells.
+    A baseline risk that is not finite is refused (ValueError), so no cell is scored.
     """
 
     model: PredictiveModel
@@ -195,7 +196,11 @@ class EvaluationContext:
         if X.shape[0] < 1:
             raise SchemaError("no test rows to evaluate on")
         y = self.data.target_values(TEST)
-        base_losses = self.loss.pointwise(y, self.model.predict(X))
+        with np.errstate(over="ignore", invalid="ignore"):
+            base_losses = self.loss.pointwise(y, self.model.predict(X))
+            baseline_risk = float(base_losses.mean())
+        if not math.isfinite(baseline_risk):
+            raise ValueError(f"baseline risk {baseline_risk!r}: the test losses are not finite")
         noise = np.empty((self.replications, X.shape[0]))
         for r, row in enumerate(noise):
             np.random.default_rng([self.base_seed, r]).standard_normal(out=row)
@@ -203,7 +208,7 @@ class EvaluationContext:
             arr.setflags(write=False)
         derived = dict(
             replications=int(self.replications), base_seed=int(self.base_seed), X=X, y=y,
-            base_losses=base_losses, baseline_risk=float(base_losses.mean()),
+            base_losses=base_losses, baseline_risk=baseline_risk,
             ratio_floor=float(np.finfo(float).eps * np.var(y)), noise=noise,
         )
         for name, value in derived.items():

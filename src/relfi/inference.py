@@ -3,10 +3,9 @@
 Both tests consume per-observation loss differences d_i (perturbed minus
 baseline) and ask whether their mean is positive: the paired one-sided t
 test for ordinary sample sizes, and a sign-flip permutation test as the
-exact small-sample analogue, which reads each assignment of signs as one
-bit per difference, packed in 64-bit words. It adds up each assignment
-from per-byte tables of subset sums (256 B per difference) rather than a
-BLAS product, and its count is exact in the arithmetic of the given doubles.
+exact small-sample analogue. Each returns evidence, not a decision: its
+statistic and its one-sided p-value, which ``relfi run`` writes as the
+``t`` and ``p`` columns.
 """
 
 from __future__ import annotations
@@ -18,11 +17,6 @@ import numpy as np
 from scipy.special import stdtr, stdtrit
 
 from .core import is_int
-
-PAIRED_T = "paired-t-one-sided"
-SIGN_FLIP = "sign-flip-exact"
-
-DEFAULT_ALPHA = 0.01
 
 # Bounds a block of the sign-flip test, so its memory is bounded whatever
 # the number of permutations. A block holds whole rows, at most
@@ -42,19 +36,10 @@ class InsufficientDataError(ValueError):
 class TestResult:
     statistic: float
     p_value: float
-    n: int
-    kind: str
-    alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError("p-value must lie in [0, 1]")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
-
-    @property
-    def rejects(self) -> bool:
-        return self.p_value < self.alpha
 
 
 def _as_differences(differences, minimum: int) -> np.ndarray:
@@ -72,7 +57,7 @@ def _as_differences(differences, minimum: int) -> np.ndarray:
     return d
 
 
-def paired_t_one_sided(differences, alpha: float = DEFAULT_ALPHA) -> TestResult:
+def paired_t_one_sided(differences) -> TestResult:
     """Upper-tail paired t test of mean(d) > 0.
 
     A zero-variance sample is degenerate: all-zero differences carry no
@@ -85,12 +70,11 @@ def paired_t_one_sided(differences, alpha: float = DEFAULT_ALPHA) -> TestResult:
     sd = float(d.std(ddof=1))
     if sd == 0.0:
         if mean == 0.0:
-            return TestResult(0.0, 1.0, n, PAIRED_T, alpha)
-        stat = math.inf if mean > 0 else -math.inf
-        return TestResult(stat, 0.0 if mean > 0 else 1.0, n, PAIRED_T, alpha)
+            return TestResult(0.0, 1.0)
+        return TestResult(math.inf, 0.0) if mean > 0 else TestResult(-math.inf, 1.0)
     t = mean / (sd / math.sqrt(n))
     p = float(stdtr(n - 1, -t))  # the upper tail of t with n - 1 degrees of freedom
-    return TestResult(t, p, n, PAIRED_T, alpha)
+    return TestResult(t, p)
 
 
 def _hits(blocks, rows: int, d: np.ndarray) -> int:
@@ -125,12 +109,7 @@ def _hits(blocks, rows: int, d: np.ndarray) -> int:
     return hits
 
 
-def sign_flip_exact(
-    differences,
-    max_permutations: int = 2**14,
-    seed: int = 0,
-    alpha: float = DEFAULT_ALPHA,
-) -> TestResult:
+def sign_flip_exact(differences, max_permutations: int = 2**14, seed: int = 0) -> TestResult:
     """Sign-flip permutation test of mean(d) > 0.
 
     Every assignment of signs to the differences is equally likely under
@@ -166,7 +145,7 @@ def sign_flip_exact(
               for start in range(0, total, block))
     hits = _hits(blocks, block, d) if d.any() else total  # all zero: every sum ties at 0
     p = hits / total if exhaustive else (1.0 + hits) / (total + 1.0)
-    return TestResult(float(d.mean()), p, n, SIGN_FLIP, alpha)
+    return TestResult(float(d.mean()), p)
 
 
 def confidence_interval(differences, level: float = 0.95) -> tuple[float, float]:

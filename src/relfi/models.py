@@ -93,15 +93,15 @@ def _fit_design(design: np.ndarray, targets: np.ndarray, names: tuple[str, ...])
     return LinearModel(names, coef[1:], float(coef[0]))
 
 
-def fit_from_dataset(data: Dataset, features=None, split: str = TRAIN) -> LinearModel:
-    """Fit on the dataset's rows; features default to all non-target columns.
-    The rows are taken once, straight into ``fit_ols``'s design (same bits)."""
+def fit_from_dataset(data: Dataset, features=None) -> LinearModel:
+    """Fit on the dataset's training rows; features default to all non-target
+    columns. The rows are taken once, straight into ``fit_ols``'s design (same bits)."""
     if features is None:
         features = [n for n in data.variable_names if n != data.target_name]
     features = tuple(str(f) for f in features)
     if data.target_name in features:
         raise ValueError("the target cannot be used as a feature")
-    rows = data._row_index(split)
+    rows = data._row_index(TRAIN)
     design = np.empty((rows.size, len(features) + 1), order="F")
     for j, name in enumerate(features, start=1):  # rows are in range; "raise" would buffer out
         np.take(data.column(name), rows, out=design[:, j], mode="clip")

@@ -69,7 +69,7 @@ def _grid(graph, seed, features, conditioning_sets):
     )
     by_cell = {(e.feature, e.conditioning): e for e in estimates}
     tests = {
-        cell: paired_t_one_sided(e.first_differences, alpha=ALPHA)
+        cell: paired_t_one_sided(e.first_differences)
         for cell, e in by_cell.items()
     }
     grid_seconds = time.perf_counter() - t1
@@ -140,13 +140,13 @@ def test_criterion_3_chain_grid_pattern(chain_grid):
     for feature in ("X1", "X2"):
         for cond in conds:
             checks[f"{feature} given {cond or '{}'} not significant"] = (
-                not chain_grid.tests[(feature, cond)].rejects
+                chain_grid.tests[(feature, cond)].p_value >= ALPHA
             )
     for feature in ("X3", "X4"):
         for cond in conds:
-            checks[f"{feature} given {cond or '{}'} significant"] = chain_grid.tests[
-                (feature, cond)
-            ].rejects
+            checks[f"{feature} given {cond or '{}'} significant"] = (
+                chain_grid.tests[(feature, cond)].p_value < ALPHA
+            )
     e3_base = chain_grid.estimates[("X3", ("X2",))]
     e3_ext = chain_grid.estimates[("X3", ("X1", "X2"))]
     delta3 = e3_base.point - e3_ext.point
@@ -172,7 +172,7 @@ def test_criterion_4_confounder_grid_pattern(confounder_grid):
     checks = {
         "X1 unaffected by conditioning on C (2 SE)": gap1
         <= 2 * math.hypot(e1_marg.se, e1_cond.se),
-        "X3 given C not significant": not confounder_grid.tests[("X3", ("C",))].rejects,
+        "X3 given C not significant": confounder_grid.tests[("X3", ("C",))].p_value >= ALPHA,
         "X2 given C still positive (3 SE)": e2_cond.point > 3 * e2_cond.se,
         "X2 shrinks under C (3 SE)": drop2 > 3 * math.hypot(e2_marg.se, e2_cond.se),
         "runtime < 3min": confounder_grid.fit_seconds + confounder_grid.grid_seconds
@@ -295,7 +295,7 @@ def test_criterion_8_inference_calibration():
     rejections = 0
     trials = 10000
     for _ in range(trials):
-        rejections += paired_t_one_sided(rng.standard_normal(40), alpha=ALPHA).rejects
+        rejections += paired_t_one_sided(rng.standard_normal(40)).p_value < ALPHA
     rate = rejections / trials
     all_positive = sign_flip_exact(np.linspace(0.1, 1.2, 12))
     checks = {

@@ -34,7 +34,7 @@ from relfi.cli import (
 )
 from relfi.core import TEST, load_csv, load_yaml
 from relfi.engine import CSV_HEADER, RATIO, RfiEstimate
-from relfi.models import load_model
+from relfi.models import LinearModel, load_model, save_model
 from relfi.scm import builtin_experiment_a, builtin_experiment_b, graph_to_mapping, sample_scm
 
 
@@ -693,6 +693,19 @@ class TestMainVerbs:
         assert not (tmp_path / "out" / "results.csv").exists()
         assert threading.active_count() == threads
         assert main(["run", str(path), "--form", "difference"]) == 0
+
+    def test_overflowing_model_is_exit_three(self, tmp_path, capsys):
+        model_path = tmp_path / "model.yaml"
+        save_model(LinearModel(("X1", "X2", "X3"), np.array([1e308, 1.0, 1.0]), 0.0), model_path)
+        mapping = base_mapping(
+            tmp_path, data={"graph": "experiment_b", "n": 2000}, features=["X1", "X2", "X3"],
+            model=str(model_path), jobs=[{"feature": "X1", "conditioning": []}],
+        )
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        assert main(["run", str(path)]) == 3
+        assert "error: baseline risk inf: " in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.csv").exists()
 
     @pytest.mark.parametrize(
         "key, flag, value",

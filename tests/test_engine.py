@@ -196,6 +196,13 @@ class TestComputeRfi:
         with pytest.raises(SchemaError, match="test rows"):
             compute_rfi(model, LOSS, d, "X4", (), s, replications=2)
 
+    def test_non_finite_baseline_rejected(self, data):
+        # X1's term overflows, so every test loss is inf: the identity cell
+        # cannot read 0.0, and no cell's estimate would mean anything
+        m = LinearModel(("X1", "X2", "X3", "X4"), np.array([1e308, 1.0, 1.0, 1.0]), 0.0)
+        with pytest.raises(ValueError, match="baseline risk inf"):
+            rfi_profile(m, LOSS, data, ["X2"], [("X2",)], sampler_factory(data), 2)
+
 
 SMALL = [sample_scm(builtin_experiment_a(), 400, seed=s, test_fraction=0.25) for s in (5, 6)]
 MODELS = [

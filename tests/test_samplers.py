@@ -338,6 +338,30 @@ class TestKnockoffSampler:
         err = np.abs(s.sample(rows, z) - expected).max()
         assert err <= 1e-12 * np.abs(expected).max()
 
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_is_the_conditional_draw_pulled_toward_the_observed_value(self, k):
+        # with slope_G, intercept_G, sigma^2 the law of the target given G and
+        # keep = 1 - s / sigma^2, the knockoff coordinate is
+        # keep * x_t + (1 - keep) * (intercept_G + x_G @ slope_G) + scale * z
+        # with scale^2 = 2 s - s^2 / sigma^2; for an empty G keep is 0, so it
+        # is the Gaussian conditional draw
+        rng = np.random.default_rng(k)
+        names = tuple(f"v{j}" for j in range(k))
+        for _ in range(70):
+            rows = rng.normal(size=(int(rng.integers(k + 1, 40)), k)) @ rng.normal(size=(k, k))
+            joint = fit_gaussian(rows * 10.0 ** rng.uniform(-3, 6, k), names)
+            slope_g, intercept_g, var = conditional_gaussian_params(joint, names[0], names[1:])
+            s = equicorrelated_knockoff_s(joint)[0]
+            keep = 1.0 - s / var
+            if k == 1:
+                assert keep == 0.0
+            x = rng.multivariate_normal(joint.mean, joint.covariance, size=50, method="cholesky")
+            z = rng.standard_normal(50)
+            expected = (keep * x[:, 0] + (1.0 - keep) * (intercept_g + x[:, 1:] @ slope_g)
+                        + np.sqrt(2.0 * s - s * s / var) * z)
+            err = np.abs(knockoff_sampler(joint).sample(x, z) - expected).max()
+            assert err <= 1e-10 * np.abs(expected).max()
+
     def test_deterministic(self, data_a):
         s = fit_sampler(data_a, "X4", ("X2",), kind="knockoff")
         a = draw(s, data_a, seed=5)
