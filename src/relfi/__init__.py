@@ -45,7 +45,6 @@ from .samplers import (
     CovarianceError,
     GaussianConditionalSampler,
     GaussianJoint,
-    KnockoffError,
     KnockoffSampler,
     conditional_gaussian_params,
     equicorrelated_knockoff_s,
@@ -59,8 +58,6 @@ from .scm import (
     GraphError,
     ScmGraph,
     analytic_covariance,
-    builtin_experiment_a,
-    builtin_experiment_b,
     builtin_graph,
     load_graph,
     parse_graph,
@@ -104,7 +101,6 @@ __all__ = [
     "CovarianceError",
     "GaussianConditionalSampler",
     "GaussianJoint",
-    "KnockoffError",
     "KnockoffSampler",
     "conditional_gaussian_params",
     "equicorrelated_knockoff_s",
@@ -116,8 +112,6 @@ __all__ = [
     "GraphError",
     "ScmGraph",
     "analytic_covariance",
-    "builtin_experiment_a",
-    "builtin_experiment_b",
     "builtin_graph",
     "load_graph",
     "parse_graph",

@@ -14,14 +14,16 @@ data source's names before it reads any rows; ``run`` and ``validate``
 share one input stage, ``read_inputs``, so ``validate`` reports exactly
 what would stop ``run``. Exit codes: 0 on success, 2 for a problem with
 any input, 3 for a failure while fitting or scoring (a rank-deficient
-fit, a singular covariance, no test rows, a model whose test losses are
-not finite, the ratio form on a perfect fit).
+fit, a singular covariance, no test rows, test losses whose sum or sum
+of squares is not finite, the ratio form on a perfect fit).
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import glob
 import hashlib
 import html
 import json
@@ -436,7 +438,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     model is fitted, the sampler factory's training joint is fitted on a
     pool thread while the evaluation context is built on this one. On a
     failing cell the rows completed before it are still written; a run
-    that fails before its first cell writes no ``results.csv``.
+    that fails before its first cell creates no output directory.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -446,7 +448,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
         model = fit_from_dataset(data, config.features)
     test = get_test(config.test_kind)
     cells = _expand_cells(config.jobs)
-    os.makedirs(config.output, exist_ok=True)
     csv_path = os.path.join(config.output, "results.csv")
     svg_path = os.path.join(config.output, "figure.svg")
     manifest_path = os.path.join(config.output, "manifest.yaml")
@@ -459,9 +460,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
         )
         if config.form == engine.RATIO:
             engine.check_ratio_baseline(context.baseline_risk, context.ratio_floor)
-        # read outside the try below, so a joint that fails writes no results.csv;
-        # a context failure above still wins, as when the two ran in turn
+        # read outside the try below, so a joint that fails writes no output
+        # directory; a context failure above still wins, as when the two ran in turn
         fit = factory.result()
+        os.makedirs(config.output, exist_ok=True)
 
         def evaluate(cell: tuple[str, tuple[str, ...]]):
             estimate = engine.score_cell(context, *cell, fit)
@@ -502,14 +504,21 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
 
 
 def _environment() -> dict:
-    """The versions and machine behind a run's bytes, for ``manifest.yaml``."""
+    """The versions, BLAS kernel and machine behind a run's bytes, for ``manifest.yaml``."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    found, kernel = glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")), None
+    if found:
+        corename = ctypes.CDLL(found[0]).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        kernel = corename().decode()
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
+        "blas_kernel": kernel,
         "cpu_count": os.cpu_count(),
     }
 

@@ -174,7 +174,7 @@ class EvaluationContext:
     ``check_ratio_baseline``) and ``noise``: row r is the standard-normal
     vector drawn from the seed pair (base seed, r), one entry per test row.
     All arrays are locked read-only, so one context can serve concurrent cells.
-    A baseline risk that is not finite is refused (ValueError), so no cell is scored.
+    Test losses whose sum or sum of squares is not finite are refused (ValueError).
     """
 
     model: PredictiveModel
@@ -199,8 +199,12 @@ class EvaluationContext:
         with np.errstate(over="ignore", invalid="ignore"):
             base_losses = self.loss.pointwise(y, self.model.predict(X))
             baseline_risk = float(base_losses.mean())
+            squares = float(base_losses @ base_losses)
         if not math.isfinite(baseline_risk):
             raise ValueError(f"baseline risk {baseline_risk!r}: the test losses are not finite")
+        if not math.isfinite(squares):
+            raise ValueError(f"baseline risk {baseline_risk!r}: the squares of the test losses "
+                             "do not sum to a finite number")
         noise = np.empty((self.replications, X.shape[0]))
         for r, row in enumerate(noise):
             np.random.default_rng([self.base_seed, r]).standard_normal(out=row)

@@ -55,10 +55,6 @@ class CovarianceError(RuntimeError):
     """Joint covariance fit failed (not positive definite)."""
 
 
-class KnockoffError(RuntimeError):
-    """Knockoff construction could not produce a valid joint."""
-
-
 @dataclass(frozen=True, eq=False)
 class GaussianJoint:
     """Fitted mean and covariance over a named variable set.
@@ -248,7 +244,7 @@ def equicorrelated_knockoff_s(joint: GaussianJoint) -> np.ndarray:
     sd = np.sqrt(var)
     lam_min = float(np.linalg.eigvalsh(joint.covariance / np.outer(sd, sd))[0])
     if lam_min <= 0:
-        raise KnockoffError("correlation matrix is not positive definite")
+        raise CovarianceError("correlation matrix is not positive definite")
     return min(2.0 * lam_min, 1.0) * var
 
 

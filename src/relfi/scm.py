@@ -7,8 +7,9 @@ zero-mean multivariate normal whose covariance has the closed form
 (I - A)^-1 D (I - A)^-T. That analytic covariance doubles as the oracle
 for the samplers and the importance engine.
 
-The YAML graph format here is the same one the command line accepts; the
-two built-in experiment graphs are expressed in it.
+The YAML graph format here is the same one the command line accepts;
+``BUILTIN_GRAPHS`` maps each built-in graph's name to its text in that
+format, and ``builtin_graph`` is the one reader of that table.
 """
 
 from __future__ import annotations
@@ -221,23 +222,10 @@ def parse_graph(mapping) -> ScmGraph:
     return ScmGraph(tuple(names), tuple(scales), tuple(edges))
 
 
-def graph_to_mapping(graph: ScmGraph) -> dict:
-    return {
-        "nodes": [
-            {"name": n, "noise_scale": s}
-            for n, s in zip(graph.nodes, graph.noise_scale)
-        ],
-        "edges": [
-            {"parent": e.parent, "child": e.child, "coefficient": e.coefficient}
-            for e in graph.edges
-        ],
-    }
-
-
 def load_graph(ref) -> ScmGraph:
     """The built-in graph named ``ref``, else the graph file at path ``ref``."""
     if ref in BUILTIN_GRAPHS:
-        return BUILTIN_GRAPHS[ref]()
+        return builtin_graph(ref)
     try:
         with open(ref) as fp:
             mapping = load_yaml(fp)
@@ -251,12 +239,13 @@ def load_graph(ref) -> ScmGraph:
     return parse_graph(mapping)
 
 
-# The two built-in experiment graphs, in the same format graph files use.
-# First: a four-feature chain/fork where X1 and X2 touch the response only
-# through X3 and X4. Second: a confounder C that is observed but withheld
-# from the model's feature set.
-
-_EXPERIMENT_A = """
+# The built-in experiment graphs by name, each as the YAML text of a graph file.
+# experiment_a, a chain/fork: X1 -> X2 -> X3 -> Y and X1 -> X4 -> Y, so X1 and X2
+# touch the response only through X3 and X4. experiment_b, a confounder: C drives
+# X2, X3 and Y and is observed but withheld from the model's features; X1 is
+# independent of C.
+BUILTIN_GRAPHS = {
+    "experiment_a": """
 nodes:
   - {name: X1, noise_scale: 1.0}
   - {name: X2, noise_scale: 1.0}
@@ -269,9 +258,8 @@ edges:
   - {parent: X1, child: X4, coefficient: 1.0}
   - {parent: X3, child: Y, coefficient: 1.0}
   - {parent: X4, child: Y, coefficient: 1.0}
-"""
-
-_EXPERIMENT_B = """
+""",
+    "experiment_b": """
 nodes:
   - {name: C, noise_scale: 1.0}
   - {name: X1, noise_scale: 1.0}
@@ -284,30 +272,17 @@ edges:
   - {parent: C, child: Y, coefficient: 1.0}
   - {parent: X1, child: Y, coefficient: 1.0}
   - {parent: X2, child: Y, coefficient: 1.0}
-"""
-
-
-def builtin_experiment_a() -> ScmGraph:
-    """Chain/fork graph: X1 -> X2 -> X3 -> Y and X1 -> X4 -> Y."""
-    return parse_graph(load_yaml(_EXPERIMENT_A))
-
-
-def builtin_experiment_b() -> ScmGraph:
-    """Confounder graph: C drives X2, X3 and Y; X1 is independent of C."""
-    return parse_graph(load_yaml(_EXPERIMENT_B))
-
-
-BUILTIN_GRAPHS = {
-    "experiment_a": builtin_experiment_a,
-    "experiment_b": builtin_experiment_b,
+""",
 }
 
 
 def builtin_graph(name: str) -> ScmGraph:
+    """The built-in graph ``name``, parsed from its text in ``BUILTIN_GRAPHS``."""
     try:
-        return BUILTIN_GRAPHS[name]()
+        text = BUILTIN_GRAPHS[name]
     except KeyError:
         raise GraphError(
             f"no built-in graph named {name!r}; "
             f"available: {', '.join(sorted(BUILTIN_GRAPHS))}"
         ) from None
+    return parse_graph(load_yaml(text))

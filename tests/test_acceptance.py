@@ -30,8 +30,7 @@ from relfi.scm import (
     Edge,
     ScmGraph,
     analytic_covariance,
-    builtin_experiment_a,
-    builtin_experiment_b,
+    builtin_graph,
     sample_scm,
 )
 
@@ -82,7 +81,7 @@ def _grid(graph, seed, features, conditioning_sets):
 @pytest.fixture(scope="session")
 def chain_grid():
     return _grid(
-        builtin_experiment_a(), SEED_A,
+        builtin_graph("experiment_a"), SEED_A,
         ("X1", "X2", "X3", "X4"),
         ((), ("X1",), ("X2",), ("X1", "X2")),
     )
@@ -90,7 +89,7 @@ def chain_grid():
 
 @pytest.fixture(scope="session")
 def confounder_grid():
-    return _grid(builtin_experiment_b(), SEED_B, ("X1", "X2", "X3"), ((), ("C",)))
+    return _grid(builtin_graph("experiment_b"), SEED_B, ("X1", "X2", "X3"), ((), ("C",)))
 
 
 def _random_graph(rng) -> ScmGraph:
@@ -258,7 +257,7 @@ def test_criterion_6_monte_carlo_oracle():
 
 
 def test_criterion_7_sampler_correctness():
-    graph = builtin_experiment_b()
+    graph = builtin_graph("experiment_b")
     cov = analytic_covariance(graph)
     joint = GaussianJoint(graph.nodes, np.zeros(5), cov, 0.0)
     slope, intercept, var = conditional_gaussian_params(joint, "X3", ("C",))

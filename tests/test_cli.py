@@ -3,6 +3,8 @@ import math
 import os
 import platform
 import re
+import subprocess
+import sys
 import threading
 import xml.etree.ElementTree as ET
 from importlib import resources
@@ -13,7 +15,7 @@ import pytest
 import scipy
 import yaml
 
-from relfi import scm
+import relfi
 from relfi.cli import (
     BUNDLED_CONFIGS,
     ConfigError,
@@ -21,6 +23,7 @@ from relfi.cli import (
     Job,
     RunError,
     _KEYS,
+    _environment,
     _expand_cells,
     _nice_ticks,
     config_from_mapping,
@@ -35,7 +38,7 @@ from relfi.cli import (
 from relfi.core import TEST, load_csv, load_yaml
 from relfi.engine import CSV_HEADER, RATIO, RfiEstimate
 from relfi.models import LinearModel, load_model, save_model
-from relfi.scm import builtin_experiment_a, builtin_experiment_b, graph_to_mapping, sample_scm
+from relfi.scm import BUILTIN_GRAPHS, builtin_graph, sample_scm
 
 
 def base_mapping(tmp_path, **overrides):
@@ -196,7 +199,7 @@ class TestConfigParsing:
         configs = [resources.files("relfi").joinpath("configs", f"{name}.yaml").read_text()
                    for name in BUNDLED_CONFIGS]
         edges = "a: 1e3\nb: .inf\nc: 0x10\nd: 1_000\ne: [yes, ~, '007', 2001-01-01]\n"
-        for text in configs + [scm._EXPERIMENT_A, scm._EXPERIMENT_B, edges, "\ufeff" + configs[0]]:
+        for text in configs + [*BUILTIN_GRAPHS.values(), edges, "\ufeff" + configs[0]]:
             assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.safe_load(text)
         assert load_yaml(configs[0]) == yaml.safe_load(configs[0])
         for loader in (yaml.CSafeLoader, yaml.SafeLoader):
@@ -324,7 +327,7 @@ class TestRunExperiment:
         assert manifest["wall_time_seconds"] >= 0
         environment = manifest["environment"]
         assert list(environment) == [
-            "python", "numpy", "scipy", "blas", "blas_version", "cpu_count"
+            "python", "numpy", "scipy", "blas", "blas_version", "blas_kernel", "cpu_count"
         ]
         assert environment["python"] == platform.python_version()
         assert environment["numpy"] == np.__version__
@@ -332,6 +335,18 @@ class TestRunExperiment:
         assert environment["cpu_count"] == os.cpu_count()
         svg = (tmp_path / "out" / "figure.svg").read_text()
         assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
+
+    @pytest.mark.skipif(_environment()["blas_kernel"] is None,
+                        reason="numpy without its bundled OpenBLAS")
+    def test_environment_names_the_blas_kernel_in_use(self):
+        # the kernel is picked when the library loads, so only a new process can switch it
+        src = Path(relfi.__file__).resolve().parents[1]
+        code = "from relfi.cli import _environment; print(_environment()['blas_kernel'])"
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+               "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "Haswell"
 
     def test_empty_job_list_gives_header_only_csv(self, tmp_path):
         config = make_config(tmp_path, jobs=[])
@@ -374,7 +389,7 @@ class TestRunExperiment:
         assert root.tag == "{http://www.w3.org/2000/svg}svg"
 
     def test_graph_file_titled_by_basename(self, tmp_path):
-        text = yaml.safe_dump(graph_to_mapping(builtin_experiment_a()))
+        text = BUILTIN_GRAPHS["experiment_a"]
         outputs = []
         for name in ("ga", "gb"):
             graph_path = tmp_path / name / "g.yaml"
@@ -389,7 +404,7 @@ class TestRunExperiment:
 
     def test_failed_job_flushes_prefix(self, tmp_path):
         # K has no noise, so without a ridge the X1 | {K} covariance is singular
-        graph = graph_to_mapping(builtin_experiment_a())
+        graph = load_yaml(BUILTIN_GRAPHS["experiment_a"])
         graph["nodes"].append({"name": "K", "noise_scale": 0.0})
         graph_path = tmp_path / "g.yaml"
         graph_path.write_text(yaml.safe_dump(graph))
@@ -552,7 +567,7 @@ class TestMainVerbs:
             path.write_text("features: X1\ncoefficients: [1.0, 2.0]\nintercept: 0.5\n")
             override = {"model": str(path)}
         else:
-            graph = graph_to_mapping(builtin_experiment_a())
+            graph = load_yaml(BUILTIN_GRAPHS["experiment_a"])
             graph["nodes"][0]["noise_scale"] = "1.5"
             path.write_text(yaml.safe_dump(graph))
             override = {"data": {"graph": str(path), "n": 100}}
@@ -672,7 +687,7 @@ class TestMainVerbs:
         capsys.readouterr()
         assert main(["run", str(path), "--jobs", "2"]) == 3
         assert "no training rows to fit a sampler on" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "results.csv").exists()
+        assert not (tmp_path / "out").exists()
         assert threading.active_count() == threads
 
     def test_ratio_form_refused_on_perfect_fit(self, tmp_path, capsys):
@@ -690,22 +705,30 @@ class TestMainVerbs:
         threads = threading.active_count()
         assert main(["run", str(path)]) == 3
         assert "ratio form" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "results.csv").exists()
+        assert not (tmp_path / "out").exists()
         assert threading.active_count() == threads
         assert main(["run", str(path), "--form", "difference"]) == 0
 
     def test_overflowing_model_is_exit_three(self, tmp_path, capsys):
-        model_path = tmp_path / "model.yaml"
-        save_model(LinearModel(("X1", "X2", "X3"), np.array([1e308, 1.0, 1.0]), 0.0), model_path)
-        mapping = base_mapping(
-            tmp_path, data={"graph": "experiment_b", "n": 2000}, features=["X1", "X2", "X3"],
-            model=str(model_path), jobs=[{"feature": "X1", "conditioning": []}],
-        )
-        path = tmp_path / "c.yaml"
-        path.write_text(yaml.safe_dump(mapping))
-        assert main(["run", str(path)]) == 3
-        assert "error: baseline risk inf: " in capsys.readouterr().err
-        assert not (tmp_path / "out" / "results.csv").exists()
+        # at 1e150 the baseline risk is finite (about 1e300) but the losses' squares
+        # are not, so no cell's test could sum its squared loss differences
+        for coefficient, message in [
+            (1e308, r"baseline risk inf: the test losses are not finite"),
+            (1e150, r"baseline risk [0-9.]+e\+300: the squares of the test losses "
+                    "do not sum to a finite number"),
+        ]:
+            model = LinearModel(("X1", "X2", "X3"), np.array([coefficient, 1.0, 1.0]), 0.0)
+            save_model(model, tmp_path / "model.yaml")
+            mapping = base_mapping(
+                tmp_path, data={"graph": "experiment_b", "n": 2000},
+                features=["X1", "X2", "X3"], model=str(tmp_path / "model.yaml"),
+                jobs=[{"feature": "X1", "conditioning": []}],
+            )
+            path = tmp_path / "c.yaml"
+            path.write_text(yaml.safe_dump(mapping))
+            assert main(["run", str(path)]) == 3
+            assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "key, flag, value",
@@ -826,14 +849,14 @@ class TestMainVerbs:
         assert main(["simulate", "experiment_b", "--n", "50", "--seed", "1",
                      "--out", str(out)]) == 0
         data = load_csv(str(out), "Y", split_column="split")
-        ref = sample_scm(builtin_experiment_b(), 50, 1)
+        ref = sample_scm(builtin_graph("experiment_b"), 50, 1)
         assert data.variable_names == ref.variable_names
         assert np.array_equal(data.values, ref.values)
         assert np.array_equal(data.test_mask, ref.test_mask)
 
     def test_simulate_node_named_split_is_exit_two(self, tmp_path, capsys):
         # save_csv appends its own split column, so the file could not be read back
-        graph = graph_to_mapping(builtin_experiment_b())
+        graph = load_yaml(BUILTIN_GRAPHS["experiment_b"])
         graph["nodes"].append({"name": "split", "noise_scale": 1.0})
         graph_path, out = tmp_path / "g.yaml", tmp_path / "x.csv"
         graph_path.write_text(yaml.safe_dump(graph))
@@ -842,7 +865,7 @@ class TestMainVerbs:
         assert not out.exists()
 
     def test_simulate_graph_values_follow_the_config_rules(self, tmp_path, capsys):
-        graph = graph_to_mapping(builtin_experiment_b())
+        graph = load_yaml(BUILTIN_GRAPHS["experiment_b"])
         graph["edges"][0]["coefficient"] = True
         graph_path, out = tmp_path / "g.yaml", tmp_path / "x.csv"
         graph_path.write_text(yaml.safe_dump(graph))

@@ -20,7 +20,7 @@ from relfi.core import (
 from relfi.engine import compute_delta_rfi, compute_rfi
 from relfi.models import LinearModel, fit_from_dataset
 from relfi.samplers import fit_sampler, sampler_factory
-from relfi.scm import builtin_experiment_a, sample_scm
+from relfi.scm import builtin_graph, sample_scm
 
 
 def small_dataset(n=8, seed=0):
@@ -63,6 +63,14 @@ class TestDataset:
     def test_duplicate_names_rejected(self):
         with pytest.raises(SchemaError):
             Dataset(("a", "a"), np.zeros((3, 2)), "a", np.zeros(3, dtype=bool))
+
+    @pytest.mark.parametrize("values, message", [
+        (np.zeros(3), "values must be a 2-d matrix (rows x variables)"),
+        (np.zeros((3, 3)), "2 variable names but 3 columns"),
+    ])
+    def test_values_shape_checked(self, values, message):
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            Dataset(("a", "b"), values, "a", np.zeros(3, dtype=bool))
 
     def test_non_finite_rejected_with_column_name(self):
         values = np.zeros((3, 2))
@@ -178,7 +186,7 @@ CELL_ONLY = ("compute_rfi", "fit_sampler")
 
 @pytest.fixture(scope="module")
 def chain():
-    data = sample_scm(builtin_experiment_a(), 400, seed=0)
+    data = sample_scm(builtin_graph("experiment_a"), 400, seed=0)
     return data, fit_from_dataset(data)
 
 

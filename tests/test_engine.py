@@ -24,14 +24,14 @@ from relfi.engine import (
 from relfi.inference import paired_t_one_sided
 from relfi.models import LinearModel, fit_from_dataset
 from relfi.samplers import fit_sampler, sampler_factory
-from relfi.scm import builtin_experiment_a, sample_scm
+from relfi.scm import builtin_graph, sample_scm
 
 LOSS = SquaredError()
 
 
 @pytest.fixture(scope="module")
 def data():
-    return sample_scm(builtin_experiment_a(), 20000, seed=3)
+    return sample_scm(builtin_graph("experiment_a"), 20000, seed=3)
 
 
 @pytest.fixture(scope="module")
@@ -197,14 +197,18 @@ class TestComputeRfi:
             compute_rfi(model, LOSS, d, "X4", (), s, replications=2)
 
     def test_non_finite_baseline_rejected(self, data):
-        # X1's term overflows, so every test loss is inf: the identity cell
-        # cannot read 0.0, and no cell's estimate would mean anything
-        m = LinearModel(("X1", "X2", "X3", "X4"), np.array([1e308, 1.0, 1.0, 1.0]), 0.0)
-        with pytest.raises(ValueError, match="baseline risk inf"):
-            rfi_profile(m, LOSS, data, ["X2"], [("X2",)], sampler_factory(data), 2)
+        # at 1e308 X1's term overflows, so every test loss is inf: the identity cell
+        # cannot read 0.0, and no cell's estimate would mean anything; at 1e150 the
+        # losses and their mean are finite, but no cell's test could sum the squares
+        # of its loss differences
+        for coefficient, message in [(1e308, "baseline risk inf"),
+                                     (1e150, "the squares of the test losses do not sum")]:
+            m = LinearModel(("X1", "X2", "X3", "X4"), np.array([coefficient, 1.0, 1.0, 1.0]), 0.0)
+            with pytest.raises(ValueError, match=message):
+                rfi_profile(m, LOSS, data, ["X2"], [("X2",)], sampler_factory(data), 2)
 
 
-SMALL = [sample_scm(builtin_experiment_a(), 400, seed=s, test_fraction=0.25) for s in (5, 6)]
+SMALL = [sample_scm(builtin_graph("experiment_a"), 400, seed=s, test_fraction=0.25) for s in (5, 6)]
 MODELS = [
     fit_from_dataset(SMALL[0]),
     LinearModel(("X1", "X3", "X4"), np.array([0.5, 1.0, 1.0]), 0.1),

@@ -10,20 +10,16 @@ across its threads, is summed by numpy instead.
 The hashes hold within the environment they were recorded in (Python
 3.11.7, numpy 2.4.6, scipy 1.17.1, whose OpenBLAS 0.3.31 is built with
 DYNAMIC_ARCH and picked its SkylakeX kernel on that machine;
-``scipy_openblas_get_corename64_`` in numpy's bundled OpenBLAS names the
+the ``blas_kernel`` entry of ``manifest.yaml``'s environment names the
 kernel). They fail under another kernel of the same build, such as
 ``OPENBLAS_CORETYPE=Haswell`` or ``Sandybridge``, so elsewhere a mismatch
 means the environment or the CPU changed, not necessarily the code. A
-mismatch names the versions and the kernel it ran under.
+mismatch names the environment it ran in, kernel included.
 """
 
-import ctypes
 import dataclasses
-import glob
 import hashlib
-import os
 
-import numpy as np
 import pytest
 
 from relfi.cli import _environment, load_config, run_experiment
@@ -38,17 +34,6 @@ GOLDEN = {
         "figure.svg": "1b51ee11f0941e59a50d725f10ade6185a24a4dfe5805fb6d5effe867ca42ca1",
     },
 }
-
-
-def _openblas_kernel() -> str | None:
-    """The kernel numpy's bundled OpenBLAS picked for this CPU, or None without that library."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    found = glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))
-    if not found:
-        return None
-    corename = ctypes.CDLL(found[0]).scipy_openblas_get_corename64_
-    corename.argtypes, corename.restype = [], ctypes.c_char_p
-    return corename().decode()
 
 
 def _sha256(path) -> str:
@@ -66,6 +51,6 @@ def test_bundled_outputs_match_pinned_hashes(tmp_path, name, workers):
         "figure.svg": _sha256(result.svg_path),
     }
     assert got == GOLDEN[name], (
-        f"environment {_environment()}, OpenBLAS kernel {_openblas_kernel()!r}: "
+        f"environment {_environment()}: "
         "see the module docstring for the one the hashes were recorded in"
     )

@@ -3,7 +3,7 @@ import pytest
 
 from relfi.core import TEST, TRAIN, Dataset
 from relfi.models import FitError, LinearModel, fit_from_dataset, fit_ols, load_model, save_model
-from relfi.scm import builtin_experiment_a, sample_scm
+from relfi.scm import builtin_graph, sample_scm
 
 
 class TestLinearModel:
@@ -87,7 +87,7 @@ class TestFitFromDataset:
     def test_recovers_structural_coefficients(self):
         # regression of Y on all four features: Y = X3 + X4 + noise, so the
         # population coefficients are (0, 0, 1, 1)
-        data = sample_scm(builtin_experiment_a(), 20000, seed=5)
+        data = sample_scm(builtin_graph("experiment_a"), 20000, seed=5)
         m = fit_from_dataset(data)
         assert m.feature_order == ("X1", "X2", "X3", "X4")
         assert np.allclose(m.coefficients, [0.0, 0.0, 1.0, 1.0], atol=0.05)
@@ -96,12 +96,12 @@ class TestFitFromDataset:
         assert np.mean(resid**2) == pytest.approx(0.25, abs=0.02)
 
     def test_feature_subset_and_split(self):
-        data = sample_scm(builtin_experiment_a(), 5000, seed=6)
+        data = sample_scm(builtin_graph("experiment_a"), 5000, seed=6)
         m = fit_from_dataset(data, features=("X3", "X4"))
         assert m.feature_order == ("X3", "X4")
 
     def test_same_bits_as_fit_ols_on_the_gathered_rows(self):
-        data = sample_scm(builtin_experiment_a(), 3001, seed=7)
+        data = sample_scm(builtin_graph("experiment_a"), 3001, seed=7)
         for features in (("X1", "X2", "X3", "X4"), ("X4", "X1"), ("X2",)):
             got = fit_from_dataset(data, features)
             ref = fit_ols(data.matrix(features, TRAIN), data.target_values(TRAIN), features)
@@ -127,7 +127,7 @@ class TestFitFromDataset:
         assert "const" in messages[0] or "(intercept)" in messages[0]
 
     def test_target_cannot_be_feature(self):
-        data = sample_scm(builtin_experiment_a(), 100, seed=0)
+        data = sample_scm(builtin_graph("experiment_a"), 100, seed=0)
         with pytest.raises(ValueError, match="target"):
             fit_from_dataset(data, features=("X1", "Y"))
 

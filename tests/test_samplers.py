@@ -33,8 +33,7 @@ from relfi.scm import (
     Edge,
     ScmGraph,
     analytic_covariance,
-    builtin_experiment_a,
-    builtin_experiment_b,
+    builtin_graph,
     sample_scm,
 )
 
@@ -47,12 +46,12 @@ def draw(sampler, data, seed):
 
 @pytest.fixture(scope="module")
 def data_a():
-    return sample_scm(builtin_experiment_a(), 100000, seed=11)
+    return sample_scm(builtin_graph("experiment_a"), 100000, seed=11)
 
 
 @pytest.fixture(scope="module")
 def data_b():
-    return sample_scm(builtin_experiment_b(), 100000, seed=12)
+    return sample_scm(builtin_graph("experiment_b"), 100000, seed=12)
 
 
 class TestGaussianJoint:
@@ -137,7 +136,7 @@ class TestConditionalParams:
 
     def test_confounder_graph_analytic_params(self):
         # straight from the closed-form covariance, no sampling noise
-        g = builtin_experiment_b()
+        g = builtin_graph("experiment_b")
         joint = GaussianJoint(g.nodes, np.zeros(5), analytic_covariance(g), 0.0)
         slope, intercept, var = conditional_gaussian_params(joint, "X3", ("C",))
         assert slope[0] == pytest.approx(1.0, abs=1e-12)
@@ -530,8 +529,8 @@ class TestSharedJoint:
         # one-column variance taken by it would move with their number
         code = (
             "from relfi.samplers import fit_gaussian, fit_sampler\n"
-            "from relfi.scm import builtin_experiment_a, sample_scm\n"
-            "data = sample_scm(builtin_experiment_a(), 30_000, seed=4)\n"
+            "from relfi.scm import builtin_graph, sample_scm\n"
+            "data = sample_scm(builtin_graph('experiment_a'), 30_000, seed=4)\n"
             "s = fit_sampler(data, 'X2', ())\n"
             "joint = fit_gaussian(data.matrix(('X2',), 'train'), ('X2',))\n"
             "print(repr((s.intercept, s.scale, joint.covariance.tobytes())))\n"
@@ -631,7 +630,7 @@ class TestSharedJoint:
 
     def test_factory_fits_a_joint_of_four_columns_past_both_caps(self, monkeypatch):
         # its block is at most twice that of any cell with a nonempty G
-        data = sample_scm(builtin_experiment_a(), 200, seed=1)
+        data = sample_scm(builtin_graph("experiment_a"), 200, seed=1)
         monkeypatch.setattr(samplers, "JOINT_MAX_FLOPS", 0)
         calls = []
 
@@ -730,7 +729,7 @@ class TestSharedJoint:
 class TestUnitFree:
     @pytest.mark.parametrize("kind", ["gaussian", "knockoff"])
     def test_rescaling_the_conditioning_column_moves_no_cell(self, kind):
-        data = sample_scm(builtin_experiment_b(), 20000, seed=4)
+        data = sample_scm(builtin_graph("experiment_b"), 20000, seed=4)
         model = fit_from_dataset(data, ("X1", "X2", "X3"))
         c = data.variable_names.index("C")
 

@@ -5,14 +5,12 @@ import pytest
 
 from relfi import scm
 from relfi.scm import (
+    BUILTIN_GRAPHS,
     Edge,
     GraphError,
     ScmGraph,
     analytic_covariance,
-    builtin_experiment_a,
-    builtin_experiment_b,
     builtin_graph,
-    graph_to_mapping,
     load_graph,
     parse_graph,
     sample_scm,
@@ -55,6 +53,18 @@ class TestGraphValidation:
         with pytest.raises(GraphError, match="noise scale"):
             ScmGraph(("a",), (-1.0,), ())
 
+    @pytest.mark.parametrize("nodes, scales, message", [
+        ((), (), "graph needs at least one node"),
+        (("a", "b"), (1.0,), "need exactly one noise scale per node"),
+    ])
+    def test_node_shapes_checked(self, nodes, scales, message):
+        with pytest.raises(GraphError, match=re.escape(message)):
+            ScmGraph(nodes, scales, ())
+
+    def test_node_index_names_an_unknown_node(self):
+        with pytest.raises(GraphError, match=re.escape("no node named 'c'")):
+            builtin_graph("experiment_a").node_index("c")
+
     def test_non_finite_coefficient(self):
         with pytest.raises(GraphError, match="finite"):
             ScmGraph(("a", "b"), (1.0, 1.0), (Edge("a", "b", np.inf),))
@@ -66,7 +76,7 @@ class TestGraphValidation:
             )
 
     def test_topological_order_respects_edges(self):
-        g = builtin_experiment_a()
+        g = builtin_graph("experiment_a")
         order = {name: k for k, name in enumerate(g.topological_order)}
         for e in g.edges:
             assert order[e.parent] < order[e.child]
@@ -109,7 +119,7 @@ def shuffled_dag(rng) -> ScmGraph:
 class TestTopologicalOrder:
     def test_matches_kahn_reference(self):
         rng = np.random.default_rng(16)
-        graphs = [builtin_experiment_a(), builtin_experiment_b()]
+        graphs = [builtin_graph("experiment_a"), builtin_graph("experiment_b")]
         graphs += [shuffled_dag(rng) for _ in range(200)]
         for g in graphs:
             assert g.topological_order == kahn_order(g.nodes, g.edges)
@@ -123,7 +133,7 @@ class TestTopologicalOrder:
 
 class TestBuiltins:
     def test_experiment_a_nodes(self):
-        g = builtin_experiment_a()
+        g = builtin_graph("experiment_a")
         assert len(g.nodes) == 5
         assert set(g.nodes) == {"X1", "X2", "X3", "X4", "Y"}
         pairs = {(e.parent, e.child) for e in g.edges}
@@ -134,7 +144,7 @@ class TestBuiltins:
         assert scales == {"X1": 1.0, "X2": 1.0, "X3": 0.3, "X4": 1.0, "Y": 0.5}
 
     def test_experiment_b_no_edge_between_x1_and_c(self):
-        g = builtin_experiment_b()
+        g = builtin_graph("experiment_b")
         pairs = {(e.parent, e.child) for e in g.edges}
         assert ("X1", "C") not in pairs and ("C", "X1") not in pairs
         scales = dict(zip(g.nodes, g.noise_scale))
@@ -142,13 +152,20 @@ class TestBuiltins:
 
     def test_both_acyclic(self):
         # construction validates; reaching here means both passed
-        assert builtin_experiment_a().topological_order
-        assert builtin_experiment_b().topological_order
+        assert builtin_graph("experiment_a").topological_order
+        assert builtin_graph("experiment_b").topological_order
 
     def test_builtin_lookup(self):
-        assert builtin_graph("experiment_a").nodes == builtin_experiment_a().nodes
-        with pytest.raises(GraphError, match="no built-in"):
+        assert sorted(BUILTIN_GRAPHS) == ["experiment_a", "experiment_b"]
+        for name in BUILTIN_GRAPHS:
+            assert builtin_graph(name) == load_graph(name)
+        with pytest.raises(GraphError, match=re.escape(
+                "no built-in graph named 'experiment_c'; available: experiment_a, experiment_b")):
             builtin_graph("experiment_c")
+        with pytest.raises(GraphError, match=re.escape(
+                "no graph file or built-in named 'experiment_c'; "
+                "built-ins: experiment_a, experiment_b")):
+            load_graph("experiment_c")
 
 
 class TestAnalyticCovariance:
@@ -162,14 +179,14 @@ class TestAnalyticCovariance:
         assert np.allclose(analytic_covariance(g), [[1.0, 1.0], [1.0, 2.0]])
 
     def test_experiment_b_path_tracing(self):
-        g = builtin_experiment_b()
+        g = builtin_graph("experiment_b")
         cov = analytic_covariance(g)
         i3, iy = g.node_index("X3"), g.node_index("Y")
         assert cov[i3, iy] == pytest.approx(2.0, abs=1e-12)
         assert cov[i3, i3] == pytest.approx(1.25, abs=1e-12)
 
     def test_experiment_a_known_variances(self):
-        g = builtin_experiment_a()
+        g = builtin_graph("experiment_a")
         cov = analytic_covariance(g)
         d = {n: cov[g.node_index(n), g.node_index(n)] for n in g.nodes}
         assert d["X1"] == pytest.approx(1.0, abs=1e-12)
@@ -178,13 +195,13 @@ class TestAnalyticCovariance:
         assert d["X4"] == pytest.approx(2.0, abs=1e-12)
 
     def test_d_separation_partial_correlations_vanish(self):
-        ga = builtin_experiment_a()
+        ga = builtin_graph("experiment_a")
         cov_a = analytic_covariance(ga)
         pc = partial_correlation(
             cov_a, ga.node_index("X1"), ga.node_index("X3"), [ga.node_index("X2")]
         )
         assert abs(pc) < 1e-12
-        gb = builtin_experiment_b()
+        gb = builtin_graph("experiment_b")
         cov_b = analytic_covariance(gb)
         pc = partial_correlation(
             cov_b, gb.node_index("X3"), gb.node_index("Y"), [gb.node_index("C")]
@@ -203,18 +220,18 @@ class TestSampling:
         assert abs(x.var(ddof=1) - 1.0) < 3 * se_var
 
     def test_experiment_a_var_x2(self):
-        data = sample_scm(builtin_experiment_a(), 100000, seed=2)
+        data = sample_scm(builtin_graph("experiment_a"), 100000, seed=2)
         v = data.column("X2").var(ddof=1)
         se = 2.0 * np.sqrt(2.0 / 100000)
         assert abs(v - 2.0) < 3 * se
 
     def test_experiment_b_x1_c_uncorrelated(self):
-        data = sample_scm(builtin_experiment_b(), 100000, seed=3)
+        data = sample_scm(builtin_graph("experiment_b"), 100000, seed=3)
         r = np.corrcoef(data.column("X1"), data.column("C"))[0, 1]
         assert abs(r) < 3.0 / np.sqrt(100000)
 
     def test_empirical_matches_analytic_covariance(self):
-        g = builtin_experiment_a()
+        g = builtin_graph("experiment_a")
         target = analytic_covariance(g)
         data = sample_scm(g, 100000, seed=4)
         emp = np.cov(data.values, rowvar=False, ddof=1)
@@ -248,35 +265,28 @@ class TestSampling:
             assert data.values.tobytes() == values.tobytes(), n
 
     def test_deterministic(self):
-        g = builtin_experiment_b()
+        g = builtin_graph("experiment_b")
         d1 = sample_scm(g, 500, seed=9)
         d2 = sample_scm(g, 500, seed=9)
         assert np.array_equal(d1.values, d2.values)
         assert np.array_equal(d1.test_mask, d2.test_mask)
 
     def test_target_and_split_defaults(self):
-        data = sample_scm(builtin_experiment_b(), 1000, seed=0)
+        data = sample_scm(builtin_graph("experiment_b"), 1000, seed=0)
         assert data.target_name == "Y"
         assert data.n_test == 100
 
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
-            sample_scm(builtin_experiment_a(), 0, seed=0)
+            sample_scm(builtin_graph("experiment_a"), 0, seed=0)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_rows_refused(self, n):
         with pytest.raises(ValueError, match="need at least 2 rows to split"):
-            sample_scm(builtin_experiment_a(), n, seed=0)
+            sample_scm(builtin_graph("experiment_a"), n, seed=0)
 
 
 class TestSerialization:
-    def test_mapping_round_trip(self):
-        g = builtin_experiment_a()
-        again = parse_graph(graph_to_mapping(g))
-        assert again.nodes == g.nodes
-        assert again.noise_scale == g.noise_scale
-        assert again.edges == g.edges
-
     def test_load_graph_file(self, tmp_path):
         path = tmp_path / "g.yaml"
         path.write_text(
@@ -321,6 +331,7 @@ class TestSerialization:
          "edge 'a' -> 'b': coefficient must be a finite number"),
         ({"name": "a"}, {"parent": True, "child": "b", "coefficient": 1.0},
          "edge True -> 'b': parent and child must be node names"),
+        ({"name": "a", "noise": 1.0, "mean": 0.0}, None, "node 'a': unknown keys mean, noise"),
     ])
     def test_parse_refuses_what_a_config_refuses(self, node, edge, message):
         mapping = {"nodes": [node, {"name": "b"}], "edges": [edge] if edge else []}
