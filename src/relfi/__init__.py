@@ -45,12 +45,9 @@ from .samplers import (
     CovarianceError,
     GaussianConditionalSampler,
     GaussianJoint,
-    KnockoffSampler,
     conditional_gaussian_params,
-    equicorrelated_knockoff_s,
     fit_gaussian,
     fit_sampler,
-    knockoff_sampler,
     sampler_factory,
 )
 from .scm import (
@@ -101,12 +98,9 @@ __all__ = [
     "CovarianceError",
     "GaussianConditionalSampler",
     "GaussianJoint",
-    "KnockoffSampler",
     "conditional_gaussian_params",
-    "equicorrelated_knockoff_s",
     "fit_gaussian",
     "fit_sampler",
-    "knockoff_sampler",
     "sampler_factory",
     "Edge",
     "GraphError",

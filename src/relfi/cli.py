@@ -2,10 +2,11 @@
 
 A config file describes one experiment end to end: where the data comes
 from (a built-in graph, a graph file, or a CSV), which model to fit or
-load, which sampler to use, and the list of (feature, conditioning set)
-jobs to evaluate. Running it produces a results CSV in the engine's
-schema, a grouped bar chart as a standalone SVG, and a small manifest.
-Outputs are byte-identical across reruns with the same config and seed.
+load, the ridge of the Gaussian sampler that draws each feature given
+G, and the list of (feature, conditioning set) jobs to evaluate.
+Running it produces a results CSV in the engine's schema, a grouped bar
+chart as a standalone SVG, and a small manifest. Outputs are
+byte-identical across reruns with the same config and seed.
 
 Command line verbs: ``run``, ``validate``, ``simulate``, ``fit``. Every
 verb reads all of its inputs (config, data file or graph, model file)
@@ -64,7 +65,7 @@ from .core import (
 from .inference import TEST_KINDS, get_test
 from .models import LinearModel, fit_from_dataset, load_model, save_model
 # no cli code calls fit_sampler; it stays bound here because bench/test_bench.py reads it
-from .samplers import SAMPLER_KINDS, fit_sampler, sampler_factory
+from .samplers import fit_sampler, sampler_factory
 from .scm import BUILTIN_GRAPHS, load_graph, sample_scm
 
 BUNDLED_CONFIGS = ("experiment_a", "experiment_b")
@@ -105,7 +106,6 @@ class ExperimentConfig:
     test_fraction: float = 0.10
     seed: int = 0
     model: str = "ols"
-    sampler_kind: str = "gaussian"
     ridge: float | None = None
     replications: int = 30
     form: str = engine.DIFFERENCE
@@ -144,7 +144,6 @@ _KEYS = (
          "must be a number strictly between 0 and 1"),
     _Key("seed", "seed", lambda v: is_int(v, 0), "must be a non-negative integer"),
     _Key("model", "model", _is_text, "must be 'ols' or a model file path"),
-    _Key("sampler.kind", "sampler_kind", *_one_of(SAMPLER_KINDS)),
     _Key("sampler.ridge", "ridge", lambda v: v is None or is_number(v) and v >= 0,
          "must be null or a finite number >= 0", float),
     _Key("replications", "replications", lambda v: is_int(v, 1), "must be an integer >= 1"),
@@ -454,7 +453,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     estimates: list[engine.RfiEstimate] = []
     rows: list[list[str]] = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        factory = pool.submit(sampler_factory, data, config.sampler_kind, config.ridge)
+        factory = pool.submit(sampler_factory, data, ridge=config.ridge)
         context = engine.EvaluationContext(
             model, SquaredError(), data, config.replications, config.seed
         )
@@ -654,7 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--output", help="override the output directory")
     p_run.add_argument("--seed", type=int, help="override the base seed")
     p_run.add_argument("--replications", type=int, help="override the replication count")
-    p_run.add_argument("--sampler", help="override the sampler kind")
     p_run.add_argument("--form", help="override the estimate form")
     p_run.add_argument("--jobs", type=int, default=1,
                        help="max concurrent jobs (default 1)")
@@ -687,7 +685,7 @@ def _cmd_run(args) -> int:
     if args.jobs < 1:
         raise ConfigError("--jobs: must be an integer >= 1")
     flags = {"output": args.output, "seed": args.seed, "replications": args.replications,
-             "sampler.kind": args.sampler, "form": args.form}
+             "form": args.form}
     config = load_config(args.config, [(k, v) for k, v in flags.items() if v is not None])
     result = run_experiment(config, workers=args.jobs)
     print(

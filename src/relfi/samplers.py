@@ -14,9 +14,10 @@ of a joint over more than about 5 columns can move a subset fit's last bits
 (at most 1.0e-12 relative per parameter over 600 sets on a 13-variable graph).
 Two kinds are provided:
 
-- direct conditional-Gaussian sampling (the default): exact under the
-  Gaussian fit, and a function of the values of G and the noise alone,
-  so the draw is independent of everything else given G;
+- direct conditional-Gaussian sampling (the default, and the only kind
+  ``relfi run`` uses): exact under the Gaussian fit, and a function of
+  the values of G and the noise alone, so the draw is independent of
+  everything else given G;
 - equicorrelated Gaussian model-X knockoffs (Candes et al. 2018, "Panning
   for Gold"): the knockoff coordinate of the feature given the whole
   fitted joint. It reads the observed feature column itself

@@ -75,7 +75,6 @@ class TestConfigParsing:
         config = make_config(tmp_path)
         assert config.test_fraction == 0.10
         assert config.model == "ols"
-        assert config.sampler_kind == "gaussian"
         assert config.form == "difference"
         assert config.test_kind == "paired-t"
 
@@ -85,13 +84,13 @@ class TestConfigParsing:
             test_fraction=1.5,
             replications=0,
             form="log",
-            sampler={"kind": "bootstrap"},
+            sampler={"ridge": -1},
             test={"kind": "wilcoxon"},
         )
         config, problems = config_from_mapping(mapping)
         assert config is None
         text = "\n".join(problems)
-        for fragment in ("test_fraction", "replications", "form", "sampler.kind", "test.kind"):
+        for fragment in ("test_fraction", "replications", "form", "sampler.ridge", "test.kind"):
             assert fragment in text
 
     def test_unknown_keys_flagged(self, tmp_path):
@@ -226,10 +225,10 @@ class TestConfigHash:
     def test_bundled_hashes_pinned(self):
         # plain JSON of the config: pins the writer's key layout, not numerics
         assert config_hash(load_config("experiment_a")) == (
-            "6e836a53b5e4a54b94679e3e7c6d96158ec81f34de6393c6e3714ed74ddba585"
+            "22ed733e2aaf58962c0a651c2c5f931820e017cdba87f192ce19670c3aed02ea"
         )
         assert config_hash(load_config("experiment_b")) == (
-            "facbe95544db6e775671ed2b435b80cdfe547a0f282e868f37e173fc59de6342"
+            "b4ae00f2ce9dcc6681a11e5715714785a003ea3655bd861e90c29a6d54db6278"
         )
 
 
@@ -647,13 +646,23 @@ class TestMainVerbs:
     @pytest.mark.parametrize("retired, message", [
         ({"loss": "squared"}, "unknown top-level key 'loss'"),
         ({"test": {"alpha": 0.01}}, "test: unknown keys alpha"),
+        ({"sampler": {"kind": "gaussian"}}, "sampler: unknown keys kind"),
     ])
     def test_retired_keys_refused(self, tmp_path, capsys, retired, message):
         path = tmp_path / "c.yaml"
         path.write_text(yaml.safe_dump(base_mapping(tmp_path, **retired)))
         assert main(["run", str(path)]) == 2
         assert message in capsys.readouterr().err
+        assert main(["validate", str(path)]) == 2
+        assert message in capsys.readouterr().out
         assert not (tmp_path / "out").exists()
+
+    def test_retired_sampler_flag_refused(self, tmp_path, capsys):
+        # every run draws from the Gaussian law of the feature given G
+        out = tmp_path / "out"
+        assert main(["run", "experiment_a", "--sampler", "knockoff", "--output", str(out)]) == 2
+        assert "unrecognized arguments: --sampler knockoff" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_refused(self, tmp_path, capsys, jobs):
@@ -735,10 +744,9 @@ class TestMainVerbs:
         [
             ("replications", "--replications", 0),
             ("seed", "--seed", -1),
-            ("sampler.kind", "--sampler", "bootstrap"),
             ("form", "--form", "log"),
         ],
-        ids=["replications", "seed", "sampler", "form"],
+        ids=["replications", "seed", "form"],
     )
     def test_bad_run_override(self, tmp_path, capsys, key, flag, value):
         # a bad flag fails like the same value in the file

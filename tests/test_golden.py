@@ -9,30 +9,50 @@ BLAS threads: a one-column variance, whose dot product BLAS would split
 across its threads, is summed by numpy instead.
 The hashes hold within the environment they were recorded in (Python
 3.11.7, numpy 2.4.6, scipy 1.17.1, whose OpenBLAS 0.3.31 is built with
-DYNAMIC_ARCH and picked its SkylakeX kernel on that machine;
-the ``blas_kernel`` entry of ``manifest.yaml``'s environment names the
-kernel). They fail under another kernel of the same build, such as
-``OPENBLAS_CORETYPE=Haswell`` or ``Sandybridge``, so elsewhere a mismatch
-means the environment or the CPU changed, not necessarily the code. A
-mismatch names the environment it ran in, kernel included.
+DYNAMIC_ARCH and picks a kernel for the CPU). That build's kernels sum
+in different orders, so ``GOLDEN`` holds one set per kernel, keyed by the
+``blas_kernel`` entry of ``manifest.yaml``'s environment: SkylakeX, and
+Haswell and Sandybridge as chosen with ``OPENBLAS_CORETYPE``. The figure
+is the same under all three; ``results.csv`` is not. A kernel with no
+pinned set fails, as does a mismatch elsewhere: it means the environment
+or the CPU changed, not necessarily the code. A mismatch names the
+environment it ran in, kernel included.
 """
 
 import dataclasses
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from relfi.cli import _environment, load_config, run_experiment
+import relfi
+from relfi.cli import BUNDLED_CONFIGS, _environment, load_config, run_experiment
 
+_FIGURES = {
+    "experiment_a": "6d10ff6603ee0d068265d7003b7a9bcbf973acc637e8c77d7d2e89d1aba8500f",
+    "experiment_b": "1b51ee11f0941e59a50d725f10ade6185a24a4dfe5805fb6d5effe867ca42ca1",
+}
+_RESULTS = {  # kernel: {config: results.csv}
+    "SkylakeX": {
+        "experiment_a": "27e8051e483b6d976983171b579e3251a7833db3b5c6ff72ed76511be14889ab",
+        "experiment_b": "143dc7144cfc73e8af0c8e2a49ab5e3e25171f3770bdf8b58fb12a39df684d71",
+    },
+    "Haswell": {
+        "experiment_a": "24e99f3c065e2b5468af944b5dea588d4f19d12ab11ebe16a70fa57effb17734",
+        "experiment_b": "a2be6494dfdda34bd9d3027ef30839d497a40b2dbee125080c185b9505c69a5a",
+    },
+    "Sandybridge": {
+        "experiment_a": "cb09e318f03ead1211b66b03746b4cff6a07cf33cf7b09b45193b6040c60b546",
+        "experiment_b": "9df5bd90c40266e33907cbb724e40ab074827f119fb0bfafe38e3ea036a95d76",
+    },
+}
 GOLDEN = {
-    "experiment_a": {
-        "results.csv": "27e8051e483b6d976983171b579e3251a7833db3b5c6ff72ed76511be14889ab",
-        "figure.svg": "6d10ff6603ee0d068265d7003b7a9bcbf973acc637e8c77d7d2e89d1aba8500f",
-    },
-    "experiment_b": {
-        "results.csv": "143dc7144cfc73e8af0c8e2a49ab5e3e25171f3770bdf8b58fb12a39df684d71",
-        "figure.svg": "1b51ee11f0941e59a50d725f10ade6185a24a4dfe5805fb6d5effe867ca42ca1",
-    },
+    kernel: {name: {"results.csv": csv, "figure.svg": _FIGURES[name]} for name, csv in pins.items()}
+    for kernel, pins in _RESULTS.items()
 }
 
 
@@ -41,16 +61,36 @@ def _sha256(path) -> str:
         return hashlib.sha256(fp.read()).hexdigest()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_bundled_outputs_match_pinned_hashes(tmp_path, name, workers):
-    config = dataclasses.replace(load_config(name), output=str(tmp_path / "out"))
+def bundled_hashes(name: str, output, workers: int = 1) -> dict:
+    """The hashes of ``results.csv`` and ``figure.svg`` of bundled config ``name``."""
+    config = dataclasses.replace(load_config(name), output=str(output))
     result = run_experiment(config, workers=workers)
-    got = {
-        "results.csv": _sha256(result.csv_path),
-        "figure.svg": _sha256(result.svg_path),
-    }
-    assert got == GOLDEN[name], (
+    return {"results.csv": _sha256(result.csv_path), "figure.svg": _sha256(result.svg_path)}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", BUNDLED_CONFIGS)
+def test_bundled_outputs_match_pinned_hashes(tmp_path, name, workers):
+    got = bundled_hashes(name, tmp_path / "out", workers)
+    assert got == GOLDEN.get(_environment()["blas_kernel"], {}).get(name), (
         f"environment {_environment()}: "
-        "see the module docstring for the one the hashes were recorded in"
+        "see the module docstring for the ones the hashes were recorded in"
     )
+
+
+@pytest.mark.skipif(_environment()["blas_kernel"] is None,
+                    reason="numpy without its bundled OpenBLAS")
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
+def test_other_kernels_match_their_pins(tmp_path, kernel):
+    # the kernel is picked when OpenBLAS loads, so only a new process can switch it
+    code = ("import json, runpy, sys; from relfi.cli import _environment; "
+            "g = runpy.run_path(sys.argv[1]); "
+            "print(json.dumps([_environment()['blas_kernel'], "
+            "{n: g['bundled_hashes'](n, n) for n in g['BUNDLED_CONFIGS']}]))")
+    src = Path(relfi.__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+           "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+    out = subprocess.run([sys.executable, "-c", code, __file__], env=env, cwd=tmp_path,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [kernel, GOLDEN[kernel]]
