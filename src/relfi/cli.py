@@ -39,9 +39,7 @@ from importlib import resources
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 import yaml
-from scipy.special import stdtrit
 
 from . import engine
 from .core import (
@@ -339,6 +337,18 @@ def _unknown_names(names, target, features=(), jobs=()) -> list[str]:
     return [f"{where}: {n!r} is not a data variable" for where, n in used if n not in names]
 
 
+def _out_problems(path: str) -> list[str]:
+    """A problem if the file ``--out`` names cannot be written: it is a
+    directory, or its parent is missing or not a directory."""
+    path = os.path.abspath(path)
+    parent = os.path.dirname(path)
+    if os.path.isdir(path):
+        return [f"--out: {path!r} is a directory"]
+    if not os.path.isdir(parent):
+        return [f"--out: {parent!r} is not an existing directory"]
+    return []
+
+
 def _data_names(header, split_column, problems: list[str]) -> list[str]:
     """The CSV ``header`` without its split column, noting in ``problems``
     a split column the header does not have."""
@@ -504,6 +514,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
 
 def _environment() -> dict:
     """The versions, BLAS kernel and machine behind a run's bytes, for ``manifest.yaml``."""
+    import scipy
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     found, kernel = glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")), None
@@ -547,6 +558,7 @@ def render_figure(estimates, form: str = engine.DIFFERENCE, title: str = "") -> 
     in first-appearance order. Rendering is fully deterministic: fixed
     geometry, fixed palette, fixed-precision coordinates.
     """
+    from scipy.special import stdtrit
     features = list(dict.fromkeys(est.feature for est in estimates))
     cond_labels = list(dict.fromkeys(est.conditioning for est in estimates))
     values = {}
@@ -715,8 +727,11 @@ def _check_flags(values: dict) -> None:
 def _cmd_simulate(args) -> int:
     _check_flags({"data.n": args.n, "seed": args.seed, "test_fraction": args.test_fraction})
     graph = _read("graph", load_graph, args.graph)
-    if args.target is not None and (problems := _unknown_names(graph.nodes, args.target)):
-        raise ConfigError(problems[0])
+    problems = _out_problems(args.out)
+    if args.target is not None:
+        problems += _unknown_names(graph.nodes, args.target)
+    if problems:
+        raise ConfigError("\n".join(problems))
     data = _read("graph", sample_scm, graph, args.n, args.seed, args.target, args.test_fraction)
     try:
         save_csv(data, args.out)
@@ -736,6 +751,8 @@ def _cmd_fit(args) -> int:
     problems += _unknown_names(names, args.target, features or ())
     if features is not None:
         problems += _feature_problems(args.target, features)
+    if args.out is not None:
+        problems += _out_problems(args.out)
     if problems:
         raise ConfigError("\n".join(problems))
     data = _read("csv", load_csv, args.csv, args.target, args.split_column,

@@ -5,7 +5,8 @@ baseline) and ask whether their mean is positive: the paired one-sided t
 test for ordinary sample sizes, and a sign-flip permutation test as the
 exact small-sample analogue. Each returns evidence, not a decision: its
 statistic and its one-sided p-value, which ``relfi run`` writes as the
-``t`` and ``p`` columns.
+``t`` and ``p`` columns. The t distribution comes from ``scipy.special``,
+loaded at the first t test or interval.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr, stdtrit
 
 from .core import is_int
 
@@ -64,6 +64,7 @@ def paired_t_one_sided(differences) -> TestResult:
     evidence (p = 1), a constant positive difference is conclusive
     (p = 0), a constant negative one is conclusive the other way.
     """
+    from scipy.special import stdtr
     d = _as_differences(differences, 2)
     n = d.size
     mean = float(d.mean())
@@ -150,6 +151,7 @@ def sign_flip_exact(differences, max_permutations: int = 2**14, seed: int = 0) -
 
 def confidence_interval(differences, level: float = 0.95) -> tuple[float, float]:
     """Symmetric t interval for the mean loss difference."""
+    from scipy.special import stdtrit
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
     d = _as_differences(differences, 2)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import yaml
 
 from .core import TRAIN, Dataset, is_name, is_number, load_yaml
@@ -75,6 +74,7 @@ def fit_ols(rows: np.ndarray, targets: np.ndarray, feature_names) -> LinearModel
 
 def _fit_design(design: np.ndarray, targets: np.ndarray, names: tuple[str, ...]) -> LinearModel:
     """``fit_ols`` on a Fortran-ordered design; sets its column 0 to ones, then overwrites it."""
+    import scipy.linalg
     n, p = design.shape[0], len(names)
     if n <= p + 1:
         raise FitError(f"need more than {p + 1} rows to fit {p} features")

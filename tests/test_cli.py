@@ -819,6 +819,10 @@ class TestMainVerbs:
             ("simulate-unknown-target", "target"),
             ("simulate-one-row", "data.n"),
             ("config-one-row", "data.n"),
+            ("simulate-out-no-parent", "--out"),
+            ("simulate-out-directory", "--out"),
+            ("fit-out-no-parent", "--out"),
+            ("fit-out-directory", "--out"),
         ],
     )
     def test_bad_name_or_row_count_is_exit_two(self, tmp_path, capsys, case, key):
@@ -828,6 +832,10 @@ class TestMainVerbs:
         one_row = base_mapping(tmp_path, data={"graph": "experiment_a", "n": 1})
         config_path.write_text(yaml.safe_dump(one_row))
         fit = ["fit", csv_path, "--split-column", "split", "--out", out, "--target"]
+        # a missing parent, and an existing directory, are refused before any row is read
+        no_parent, directory = str(tmp_path / "no-dir" / "x"), str(tmp_path)
+        sim = ["simulate", "experiment_b", "--n", "100", "--out"]
+        fit_to = ["fit", csv_path, "--split-column", "split", "--target", "Y", "--out"]
         argv = {
             "fit-unknown-feature": fit + ["Y", "--features", "X1,Q"],
             "fit-target-as-feature": fit + ["Y", "--features", "X1,Y"],
@@ -837,10 +845,18 @@ class TestMainVerbs:
                                         "--out", out],
             "simulate-one-row": ["simulate", "experiment_b", "--n", "1", "--out", out],
             "config-one-row": ["run", str(config_path)],
+            "simulate-out-no-parent": sim + [no_parent],
+            "simulate-out-directory": sim + [directory],
+            "fit-out-no-parent": fit_to + [no_parent],
+            "fit-out-directory": fit_to + [directory],
         }[case]
         capsys.readouterr()
+        before = sorted(tmp_path.rglob("*"))
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {key}: ")
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
         assert not Path(out).exists()
 
     def test_fit_split_column_is_checked_as_the_config_key(self, tmp_path, capsys):

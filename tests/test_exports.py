@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -13,14 +14,30 @@ def test_every_export_resolves_once():
     assert not missing
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats alone takes about a second to import; scipy.special serves
+def _scipy_modules(code: str) -> list[str]:
+    """The scipy modules loaded by ``code`` run in a fresh interpreter."""
     src = Path(relfi.__file__).resolve().parents[1]
-    code = "import sys, relfi, relfi.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    code += ("\nimport json, sys"
+             "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
     env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported by the functions that call it: the least-squares fit
+    # and the t distribution; importing the package loads none of it
+    assert _scipy_modules("import relfi, relfi.cli") == []
+
+
+def test_validate_and_simulate_load_no_scipy(tmp_path):
+    # neither verb fits a model or runs a t test
+    out = str(tmp_path / "d.csv")
+    code = ("from relfi.cli import main\n"
+            "assert main(['validate', 'experiment_a']) == 0\n"
+            f"assert main(['simulate', 'experiment_b', '--n', '50', '--out', {out!r}]) == 0")
+    assert _scipy_modules(code) == []
 
 
 def test_readme_python_blocks_run():

@@ -5,19 +5,24 @@ zero coefficient read exactly 0.0, whatever G and the sampler kind. A
 factory's sampler for (feature, G) depends on the data only through the
 columns of the feature and G. Refitting the model on its features in
 another order moves an estimate by rounding alone (at most 1e-12 of the
-baseline risk), and identity cells read exactly 0.0 in every order.
+baseline risk), and identity cells read exactly 0.0 in every order. A run
+writes the same ``results.csv`` and ``figure.svg`` bytes on one worker or
+two, also on a graph too wide for the factory's shared joint.
 """
 
 import itertools
 
 import numpy as np
+import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relfi.cli import config_from_mapping, read_inputs, run_experiment
 from relfi.core import Dataset, SquaredError
 from relfi.engine import rfi_profile
 from relfi.models import LinearModel, fit_from_dataset
-from relfi.samplers import sampler_factory
+from relfi.samplers import JOINT_MAX_FLOPS, sampler_factory
 from relfi.scm import Edge, ScmGraph, sample_scm
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -93,3 +98,41 @@ def test_estimates_do_not_depend_on_the_order_of_the_model_features(cell):
         reference = reference or est
         assert abs(est.point - reference.point) <= 1e-12 * reference.baseline_risk
         assert identity.point == 0.0
+
+
+@pytest.mark.parametrize(
+    "width, n, seed, shared_joint",
+    # 120 columns at 4,000 rows: (3,600 + 120) * 120**2 multiply-adds is past
+    # JOINT_MAX_FLOPS, so each cell fits its own block under the factory's lock
+    [(5, 2_000, 3, True), (9, 2_000, 11, True), (120, 4_000, 29, False)],
+    ids=["narrow", "medium", "past-joint-cap"],
+)
+def test_run_bytes_do_not_depend_on_the_worker_count(tmp_path, width, n, seed, shared_joint):
+    rng = np.random.default_rng(seed)
+    nodes = [f"V{i}" for i in range(width)] + ["Y"]
+    edges = [{"parent": parent, "child": child, "coefficient": float(rng.uniform(-1.5, 1.5))}
+             for i, child in enumerate(nodes) for parent in nodes[:i]
+             if rng.random() < min(0.5, 3.0 / i)]
+    graph = {"nodes": [{"name": v, "noise_scale": float(rng.uniform(0.5, 1.5))} for v in nodes],
+             "edges": edges}
+    (tmp_path / "graph.yaml").write_text(yaml.safe_dump(graph))
+    features = nodes[:min(width, 8)]
+    jobs = []
+    for k, feature in enumerate(features):  # G of every size, up to all other columns but one
+        others = rng.permutation([v for v in nodes[:-1] if v != feature]).tolist()
+        size = [0, 1, 3, len(others) - 1][k % 4]
+        jobs.append({"feature": feature, "conditioning": others[:size]})
+        if k == 1:
+            jobs[-1]["extension"] = [others[-1]]
+    mapping = {"data": {"graph": str(tmp_path / "graph.yaml"), "n": n}, "target": "Y",
+               "features": features, "seed": seed, "replications": 4, "jobs": jobs}
+    outputs = []
+    for workers in (1, 2):
+        config, problems = config_from_mapping({**mapping, "output": str(tmp_path / str(workers))})
+        assert not problems, problems
+        run_experiment(config, workers=workers)
+        outputs.append([(tmp_path / str(workers) / name).read_bytes()
+                        for name in ("results.csv", "figure.svg")])
+    assert outputs[0] == outputs[1]
+    data, _ = read_inputs(config)
+    assert (width <= 4 or (data.n_train + width) * width**2 <= JOINT_MAX_FLOPS) == shared_joint
