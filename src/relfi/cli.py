@@ -63,7 +63,7 @@ from .core import (
 from .inference import TEST_KINDS, get_test
 from .models import LinearModel, fit_from_dataset, load_model, save_model
 # no cli code calls fit_sampler; it stays bound here because bench/test_bench.py reads it
-from .samplers import fit_sampler, sampler_factory
+from .samplers import fit_sampler, sampler_factory, training_joint
 from .scm import BUILTIN_GRAPHS, load_graph, sample_scm
 
 BUNDLED_CONFIGS = ("experiment_a", "experiment_b")
@@ -442,10 +442,9 @@ class RunResult:
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     """Execute every job and write results.csv, figure.svg, manifest.yaml.
 
-    Cells run concurrently up to ``workers``; assembly order, and
-    therefore every output byte, does not depend on scheduling. Once the
-    model is fitted, the sampler factory's training joint is fitted on a
-    pool thread while the evaluation context is built on this one. On a
+    One training gather (``training_joint``) feeds the model fit and every
+    sampler. Cells run concurrently up to ``workers``; assembly order, and
+    therefore every output byte, does not depend on scheduling. On a
     failing cell the rows completed before it are still written; a run
     that fails before its first cell creates no output directory.
     """
@@ -453,35 +452,35 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
         raise ValueError(f"workers must be >= 1, got {workers}")
     started = time.perf_counter()
     data, model = read_inputs(config)
+    joint = training_joint(data)
     if model is None:
-        model = fit_from_dataset(data, config.features)
+        model = fit_from_dataset(data, config.features, moments=joint)
+    factory = sampler_factory(data, ridge=config.ridge, moments=joint)
+    context = engine.EvaluationContext(
+        model, SquaredError(), data, config.replications, config.seed
+    )
+    if config.form == engine.RATIO:
+        engine.check_ratio_baseline(context.baseline_risk, context.ratio_floor)
     test = get_test(config.test_kind)
     cells = _expand_cells(config.jobs)
     csv_path = os.path.join(config.output, "results.csv")
     svg_path = os.path.join(config.output, "figure.svg")
     manifest_path = os.path.join(config.output, "manifest.yaml")
+    os.makedirs(config.output, exist_ok=True)
+
+    def evaluate(cell: tuple[str, tuple[str, ...]]):
+        estimate = engine.score_cell(context, *cell, factory)
+        row = engine.result_row(estimate, test(estimate.first_differences), config.form)
+        # the figure reads no test row, so the cell's n_test differences go now
+        return row, dataclasses.replace(estimate, first_differences=())
+
     estimates: list[engine.RfiEstimate] = []
     rows: list[list[str]] = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        factory = pool.submit(sampler_factory, data, ridge=config.ridge)
-        context = engine.EvaluationContext(
-            model, SquaredError(), data, config.replications, config.seed
-        )
-        if config.form == engine.RATIO:
-            engine.check_ratio_baseline(context.baseline_risk, context.ratio_floor)
-        # read outside the try below, so a joint that fails writes no output
-        # directory; a context failure above still wins, as when the two ran in turn
-        fit = factory.result()
-        os.makedirs(config.output, exist_ok=True)
-
-        def evaluate(cell: tuple[str, tuple[str, ...]]):
-            estimate = engine.score_cell(context, *cell, fit)
-            return estimate, test(estimate.first_differences)
-
         try:  # map cancels the cells that have not started once one raises
-            for estimate, result in pool.map(evaluate, cells):
+            for row, estimate in pool.map(evaluate, cells):
+                rows.append(row)
                 estimates.append(estimate)
-                rows.append(engine.result_row(estimate, result, config.form))
         except Exception as exc:
             feature, cond = cells[len(rows)]
             raise RunError(

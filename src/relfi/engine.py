@@ -129,8 +129,12 @@ class DeltaRfi:
     ``value`` is base minus extended importance; a nonzero value
     witnesses dependence between the feature and the extension variables
     given the original conditioning set. The standard error combines the
-    two arms in quadrature, which stays valid (conservatively) even
-    though the arms share replication seeds.
+    two arms' replication spreads in quadrature, so it covers only the
+    Monte-Carlo error of the replacement draws, and overstates that, as
+    the arms share replication seeds. It leaves out the error of the
+    fitted samplers. On ``experiment_b`` at 10^4 rows, X1 from {} to {C}
+    (a null delta) was within 1.96 se of 0 in 200 of 200 seeds, but within
+    the paired per-row interval of replication 0 in only 20.
     """
 
     feature: str

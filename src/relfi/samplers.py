@@ -4,14 +4,15 @@ The importance engine needs draws of a feature from its conditional law
 given the conditioning set G. Every sampler is built on a Gaussian joint
 of the feature and G fitted to the training rows, and applied to test
 rows. A factory (``sampler_factory``, for the library loops and ``relfi
-run`` alike) fits one training joint over every column but the response
-when it is created and reads each sampler with a nonempty G as its block,
-so a cell's bits depend on the dataset, not on the other cells of a call.
-The joint records every column's training bounds, so a feature constant in
-training reads as a point mass from it. For an empty G, or a joint over more
-than 4 columns past ``JOINT_MAX_FLOPS``, a cell fits its own columns. A block
-of a joint over more than about 5 columns can move a subset fit's last bits
-(at most 1.0e-12 relative per parameter over 600 sets on a 13-variable graph).
+run`` alike) reads every sampler from one gather of every column's training
+rows (``training_joint``), which ``relfi run`` fits its model from too. A
+nonempty G reads its block of the joint, an empty G its column's moments
+alone, with the bits of a fit on that column. So a cell's bits depend on
+the dataset, not on the other cells of a call. The gather records every
+column's training bounds, so a feature constant in training reads as a point
+mass. Past ``JOINT_MAX_FLOPS`` a cell fits its own columns. A block of a
+joint over more than about 5 columns can move a subset fit's last bits (at
+most 1.0e-12 relative per parameter over 600 sets on a 13-variable graph).
 Two kinds are provided:
 
 - direct conditional-Gaussian sampling (the default, and the only kind
@@ -127,11 +128,13 @@ def fit_gaussian(rows: np.ndarray, names, ridge: float | None = None) -> Gaussia
     return _ridged_joint(names, *_moments(np.array(rows).T), ridge)
 
 
-def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and ``np.cov`` of the variables in the rows of ``x``, centring ``x``
-    in place. One variable is summed pairwise by numpy, not by BLAS, which
-    splits a long dot product across threads, so its bits would vary."""
+def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Mean and ``np.cov`` (None below 2 observations) of the variables in the rows
+    of ``x``, centring ``x`` in place. One variable is summed pairwise by numpy, not
+    by BLAS, which splits a long dot product across threads, so its bits would vary."""
     mean = x.mean(axis=1)
+    if x.shape[1] < 2:
+        return mean, None
     x -= mean[:, None]
     cov = np.dot(x, x.T) if x.shape[0] > 1 else np.sum(x * x, keepdims=True)
     cov *= np.true_divide(1, x.shape[1] - 1)
@@ -279,23 +282,36 @@ def _check_options(kind: str, ridge: float | None) -> None:
     _ridge_share(ridge)
 
 
-# cap on a joint over k > 4 columns: (n_train + k) * k * k multiply-adds, its
-# covariance plus a k x k solve; it keeps block and covariance under 2**28 / k bytes
+# cap on a joint over k > 4 columns but the response: (n_train + k) * k * k multiply-
+# adds, its covariance plus a k x k solve; it keeps block and covariance under 2**28 / k bytes
 JOINT_MAX_FLOPS = 2**25
 
 
 def training_moments(data: Dataset, names) -> tuple:
-    """(names, mean, unridged covariance, {name: (min, max)}) of the named
-    columns on the training rows. The covariance repeats ``np.cov`` step for
-    step (same bits for two or more columns) but centres the gathered block in
-    place; below 2 rows it is None."""
+    """(names, mean, unridged covariance, {name: (min, max)}, {name: (mean, covariance)})
+    of the named columns on the training rows: the last holds each column's own, with
+    the bits of ``training_moments(data, (name,))``. A covariance is None below 2 rows;
+    it repeats ``np.cov`` (same bits for two or more columns) but centres in place."""
     names = tuple(names)
     if data.n_train == 0:
         raise SchemaError("no training rows to fit a sampler on")
     x = data.matrix(names, TRAIN).T  # np.cov's layout: one row per variable
-    bounds = {name: (row.min(), row.max()) for name, row in zip(names, x)}
-    mean, cov = _moments(x) if x.shape[1] > 1 else (x.mean(axis=1), None)
-    return names, mean, cov, bounds
+    bounds, alone = {}, {}
+    for name, row in zip(names, x):
+        column = row[None].copy()  # contiguous, so summed pairwise as the column alone is
+        bounds[name] = (column.min(), column.max())
+        alone[name] = _moments(column)
+    mean, cov = _moments(x) if len(names) > 1 else alone[names[0]]
+    return names, mean, cov, bounds, alone
+
+
+def training_joint(data: Dataset) -> tuple | None:
+    """``training_moments`` over every column when the k columns but the response number
+    at most 4 (at most twice any cell's block) or fit ``JOINT_MAX_FLOPS``; else None."""
+    k = len(data.variable_names) - 1
+    if k <= 4 or (data.n_train + k) * k * k <= JOINT_MAX_FLOPS:
+        return training_moments(data, data.variable_names)
+    return None
 
 
 def fit_sampler(
@@ -313,8 +329,9 @@ def fit_sampler(
     include variables outside the model's feature list. A feature that is
     constant in training data yields a point-mass sampler. ``ridge`` is the
     share of each variance added to it, as in ``fit_gaussian``. ``moments``,
-    a ``training_moments`` of ``data``, supplies the joint as its block when
-    the conditioning set is nonempty and it covers the feature and the set.
+    a ``training_moments`` of ``data`` that covers the feature and the set,
+    supplies the joint: its block for a nonempty set, the feature's moments
+    alone for an empty one.
     """
     _check_options(kind, ridge)
     conditioning = canonical_names(conditioning)
@@ -324,15 +341,18 @@ def fit_sampler(
         )
     check_partition(data.target_name, feature, conditioning)
     names = (feature,) + conditioning
-    # an empty G keeps its own column: one contiguous column is summed
-    # pairwise, so a block of a wider joint would not reproduce its bits
-    if not (conditioning and moments and set(names) <= set(moments[0])):
+    if not (moments and set(names) <= set(moments[0])):
         moments = training_moments(data, names)
-    columns, mean, cov, bounds = moments
-    idx, (low, high) = [columns.index(name) for name in names], bounds[feature]
+    columns, mean, cov, bounds, alone = moments
+    low, high = bounds[feature]
     if low == high:
         return PointMassSampler(feature, conditioning, np.empty(0), float(low), 0.0, ())
-    joint = _ridged_joint(names, mean[idx], cov[np.ix_(idx, idx)], ridge)
+    if conditioning:
+        idx = [columns.index(name) for name in names]
+        mean, cov = mean[idx], cov[np.ix_(idx, idx)]
+    else:  # one contiguous column is summed pairwise: a block would not have its bits
+        mean, cov = alone[feature]
+    joint = _ridged_joint(names, mean, cov, ridge)
     if kind == "knockoff":
         return knockoff_sampler(joint)
     slope, intercept, variance = conditional_gaussian_params(joint, feature, conditioning)
@@ -341,18 +361,16 @@ def fit_sampler(
     )
 
 
-def sampler_factory(data: Dataset, kind: str = "gaussian", ridge: float | None = None):
+def sampler_factory(data: Dataset, kind: str = "gaussian", ridge: float | None = None, *,
+                    moments: tuple | None = None):
     """Bind dataset and options into a (feature, conditioning) -> sampler callable.
 
-    Fits the joint of every column but the response now, on the caller's thread, when
-    k <= 4 (at most twice any cell's block) or within ``JOINT_MAX_FLOPS``; fits run one
-    at a time. An unknown ``kind`` or a bad ``ridge`` is refused before any of that.
+    Reads every cell from ``moments``, by default ``training_joint(data)`` gathered now
+    on the caller's thread; a cell they do not cover fits its own columns, and fits run
+    one at a time. An unknown ``kind`` or a bad ``ridge`` is refused before any of that.
     """
     _check_options(kind, ridge)
-    columns = [n for n in data.variable_names if n != data.target_name]
-    k = len(columns)
-    cheap = k <= 4 or (data.n_train + k) * k * k <= JOINT_MAX_FLOPS
-    joint = training_moments(data, columns) if cheap else None
+    joint = training_joint(data) if moments is None else moments
     lock = threading.Lock()  # so two workers never gather two cells' own blocks at once
 
     def factory(feature: str, conditioning) -> _AffineSampler:

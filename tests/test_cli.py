@@ -599,6 +599,45 @@ class TestMainVerbs:
         assert main(["run", str(path)]) == 3
         assert "rank deficient" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column, values", [
+        ("const", lambda a, noise: np.full(a.size, 0.1)),
+        ("doubled", lambda a, noise: 2 * a),
+        ("near", lambda a, noise: a + 1e-6 * noise),
+    ])
+    def test_collinear_column_is_named_with_exit_three(self, tmp_path, capsys, column, values):
+        rng = np.random.default_rng(4)
+        a, b, noise, y = rng.normal(size=(4, 200))
+        rows = [f"a,b,{column},Y"]
+        rows += [",".join(map(repr, r)) for r in np.column_stack([a, b, values(a, noise), y]).tolist()]
+        csv_path = tmp_path / "collinear.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        path = tmp_path / "c.yaml"
+        mapping = base_mapping(tmp_path, data={"csv": str(csv_path)},
+                               features=["a", "b", column], jobs=[])
+        path.write_text(yaml.safe_dump(mapping))
+        assert main(["run", str(path)]) == 3
+        assert f"rank deficient; collinear column(s): {column}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", BUNDLED_CONFIGS)
+    def test_fit_saves_the_model_run_fits_bit_for_bit(self, tmp_path, monkeypatch, name):
+        config = dataclasses.replace(load_config(name), data_n=3000, replications=2,
+                                     output=str(tmp_path / "out"))
+        csv_path, model_path = str(tmp_path / "data.csv"), str(tmp_path / "model.yaml")
+        assert main(["simulate", name, "--n", "3000", "--seed", str(config.seed),
+                     "--test-fraction", str(config.test_fraction), "--out", csv_path]) == 0
+        assert main(["fit", csv_path, "--target", config.target, "--features",
+                     ",".join(config.features), "--split-column", "split",
+                     "--out", model_path]) == 0
+        fitted, fit = [], relfi.cli.fit_from_dataset
+        monkeypatch.setattr(relfi.cli, "fit_from_dataset",
+                            lambda *args, **kwargs: fitted.append(fit(*args, **kwargs)) or fitted[-1])
+        run_experiment(config)
+        saved = load_model(model_path)
+        assert saved.feature_order == fitted[0].feature_order
+        assert saved.coefficients.tobytes() == fitted[0].coefficients.tobytes()
+        assert repr(saved.intercept) == repr(fitted[0].intercept)
+
     @pytest.mark.parametrize(
         "key", ["data.n", "seed", "replications", "test_fraction", "sampler.ridge"]
     )

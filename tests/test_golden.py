@@ -12,8 +12,9 @@ The hashes hold within the environment they were recorded in (Python
 DYNAMIC_ARCH and picks a kernel for the CPU). That build's kernels sum
 in different orders, so ``GOLDEN`` holds one set per kernel, keyed by the
 ``blas_kernel`` entry of ``manifest.yaml``'s environment: SkylakeX, and
-Haswell and Sandybridge as chosen with ``OPENBLAS_CORETYPE``. The figure
-is the same under all three; ``results.csv`` is not. A kernel with no
+Haswell, Sandybridge and Katmai as chosen with ``OPENBLAS_CORETYPE``
+(Katmai by ``Prescott``). The figure is the same under all four;
+``results.csv`` is not. A kernel with no
 pinned set fails, as does a mismatch elsewhere: it means the environment
 or the CPU changed, not necessarily the code. A mismatch names the
 environment it ran in, kernel included.
@@ -38,16 +39,20 @@ _FIGURES = {
 }
 _RESULTS = {  # kernel: {config: results.csv}
     "SkylakeX": {
-        "experiment_a": "27e8051e483b6d976983171b579e3251a7833db3b5c6ff72ed76511be14889ab",
-        "experiment_b": "143dc7144cfc73e8af0c8e2a49ab5e3e25171f3770bdf8b58fb12a39df684d71",
+        "experiment_a": "68f1806c13127c02cd7c67c0aedc8624c945e181f17856629105dfd21cb1473c",
+        "experiment_b": "981b6092be004b3f98674907ee6a273294f641ec7bb4b9b6455c7dc2da08b86b",
     },
     "Haswell": {
-        "experiment_a": "24e99f3c065e2b5468af944b5dea588d4f19d12ab11ebe16a70fa57effb17734",
-        "experiment_b": "a2be6494dfdda34bd9d3027ef30839d497a40b2dbee125080c185b9505c69a5a",
+        "experiment_a": "087637e18c6f894910de44e5c6700e651e21be3273d5cfb51e7c489ff55ec7ac",
+        "experiment_b": "27e6b267f29cd0b95550752c44a7f206182ac4d717ab2c33869e8e13fa730505",
     },
     "Sandybridge": {
-        "experiment_a": "cb09e318f03ead1211b66b03746b4cff6a07cf33cf7b09b45193b6040c60b546",
-        "experiment_b": "9df5bd90c40266e33907cbb724e40ab074827f119fb0bfafe38e3ea036a95d76",
+        "experiment_a": "b8d40af84f44b0b4129a7415a029ebb0ec7feb55705807de3ad4d09acc6a6ec9",
+        "experiment_b": "b18a95c403f43a5cf46fdddb4f06e6fd3522a7a9f70e2b60de7d99da26c34377",
+    },
+    "Katmai": {
+        "experiment_a": "3dda057481f368a55cb18f478dcf2cc7830c7b00c163e78171013322c18029bd",
+        "experiment_b": "e971ff23b5bc3714d03d48a470e94969a988557692d7f6aef0a6a3f922ea2339",
     },
 }
 GOLDEN = {
@@ -80,7 +85,7 @@ def test_bundled_outputs_match_pinned_hashes(tmp_path, name, workers):
 
 @pytest.mark.skipif(_environment()["blas_kernel"] is None,
                     reason="numpy without its bundled OpenBLAS")
-@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Katmai"])
 def test_other_kernels_match_their_pins(tmp_path, kernel):
     # the kernel is picked when OpenBLAS loads, so only a new process can switch it
     code = ("import json, runpy, sys; from relfi.cli import _environment; "
@@ -88,7 +93,8 @@ def test_other_kernels_match_their_pins(tmp_path, kernel):
             "print(json.dumps([_environment()['blas_kernel'], "
             "{n: g['bundled_hashes'](n, n) for n in g['BUNDLED_CONFIGS']}]))")
     src = Path(relfi.__file__).resolve().parents[1]
-    env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+    coretype = {"Katmai": "Prescott"}.get(kernel, kernel)  # the core type that loads it
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
            "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
     out = subprocess.run([sys.executable, "-c", code, __file__], env=env, cwd=tmp_path,
                          capture_output=True, text=True)

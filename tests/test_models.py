@@ -72,6 +72,17 @@ class TestFitOls:
         with pytest.raises(FitError, match="rank deficient"):
             fit_ols(rows, rng.normal(size=25), ("a", "const"))
 
+    def test_agrees_with_lstsq_on_well_conditioned_designs(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            n, p = int(rng.integers(20, 2000)), int(rng.integers(1, 9))
+            mixing = np.eye(p) + rng.uniform(-0.3, 0.3, (p, p))
+            rows = rng.normal(size=(n, p)) @ mixing * rng.uniform(0.01, 100, p) + rng.uniform(-5, 5, p)
+            y = rows @ rng.uniform(-2, 2, p) + rng.normal(size=n)
+            m = fit_ols(rows, y, [f"x{j}" for j in range(p)])
+            ref = np.linalg.lstsq(np.column_stack([np.ones(n), rows]), y, rcond=None)[0]
+            np.testing.assert_allclose(np.r_[m.intercept, m.coefficients], ref, rtol=1e-9, atol=0)
+
     def test_too_few_rows(self):
         with pytest.raises(FitError, match="need more than"):
             fit_ols(np.zeros((3, 2)), np.zeros(3), ("a", "b"))

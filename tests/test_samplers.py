@@ -490,6 +490,17 @@ class TestSharedJoint:
                     assert s.slope.tobytes() == slope.tobytes(), (feature, cond)
                     assert (s.intercept, s.scale) == (intercept, scale), (feature, cond)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "knockoff"])
+    def test_empty_g_cells_of_a_factory_match_their_own_fit_bit_for_bit(self, data_a, data_b, kind):
+        wide = sample_scm(_random_scm(np.random.default_rng(5)), 3_001, seed=2)
+        for data in (data_a, data_b, wide):
+            factory = sampler_factory(data, kind)
+            for feature in data.variable_names[:-1]:
+                s, ref = factory(feature, ()), fit_sampler(data, feature, (), kind)
+                assert type(s) is type(ref), feature
+                assert (s.slope.tobytes(), s.intercept, s.scale) == (
+                    ref.slope.tobytes(), ref.intercept, ref.scale), feature
+
     def test_wide_joint_matches_subset_fit_closely(self):
         rng = np.random.default_rng(2024)
         data = sample_scm(_random_scm(rng), 20_000, seed=5)
@@ -552,8 +563,11 @@ class TestSharedJoint:
             values = rng.normal(rng.uniform(-5, 5, k + 1), rng.uniform(0.1, 10, k + 1), (n, k + 1))
             data = Dataset(names, values, "Y", np.zeros(n, dtype=bool))
             rows = data.matrix(names[:-1], TRAIN)
-            got, mean, cov, bounds = training_moments(data, names[:-1])
+            got, mean, cov, bounds, alone = training_moments(data, names[:-1])
             assert got == names[:-1]
+            for name in got:  # each column's moments alone, with the bits of its own gather
+                own = training_moments(data, (name,))
+                assert [a.tobytes() for a in alone[name]] == [own[1].tobytes(), own[2].tobytes()]
             assert mean.tobytes() == rows.mean(axis=0).tobytes()
             if k == 1:  # numpy's pairwise sum, not BLAS's dot
                 centred = rows[:, 0] - rows[:, 0].mean()
@@ -575,9 +589,9 @@ class TestSharedJoint:
             load_config("experiment_a"), data_n=5_000, replications=2, output=str(tmp_path)
         )
         run_experiment(config, workers=2)
-        # one shared joint; each of the four marginal cells fits its own column
-        assert [c for c in calls if len(c) > 1] == [("X1", "X2", "X3", "X4")]
-        assert sorted(c for c in calls if len(c) == 1) == [("X1",), ("X2",), ("X3",), ("X4",)]
+        # one gather over every column, the response included, serves the
+        # model and every cell, the four with an empty G as well
+        assert calls == [("X1", "X2", "X3", "X4", "Y")]
 
     @pytest.mark.parametrize(
         "limit, over_cap",
@@ -602,9 +616,9 @@ class TestSharedJoint:
         cells = [("V0", ("V1", "V2")), ("V3", ("V0",)), ("V5", ()), ("V2", ("V29",))]
         factory = sampler_factory(data, "knockoff")
         fitted = [factory(*cell) for cell in cells]
-        columns = names[:15] + names[16:]
         own = [(feature, *g) for feature, g in cells]
-        assert calls == (own if over_cap else [columns, ("V5",)])
+        # the cap counts the 30 columns but the response; the joint spans all 31
+        assert calls == (own if over_cap else [names])
         for s, (feature, g) in zip(fitted if over_cap else (), cells):
             ref = fit_sampler(data, feature, g, "knockoff")
             assert (s.slope.tobytes(), s.intercept, s.scale) == (ref.slope.tobytes(), ref.intercept, ref.scale)
@@ -629,7 +643,8 @@ class TestSharedJoint:
         assert peak[0] == 1
 
     def test_factory_fits_a_joint_of_four_columns_past_both_caps(self, monkeypatch):
-        # its block is at most twice that of any cell with a nonempty G
+        # a block over the four columns but the response is at most twice
+        # that of any cell with a nonempty G; the joint takes the response too
         data = sample_scm(builtin_graph("experiment_a"), 200, seed=1)
         monkeypatch.setattr(samplers, "JOINT_MAX_FLOPS", 0)
         calls = []
@@ -642,7 +657,7 @@ class TestSharedJoint:
         factory = sampler_factory(data)
         factory("X3", ("X1", "X2"))
         factory("X4", ("X2",))
-        assert calls == [("X1", "X2", "X3", "X4")]
+        assert calls == [("X1", "X2", "X3", "X4", "Y")]
 
     @pytest.mark.parametrize("kind", ["gaussian", "knockoff"])
     def test_profile_cells_are_compute_rfi_with_the_factorys_samplers(self, kind):
