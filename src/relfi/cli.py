@@ -44,7 +44,6 @@ import yaml
 from . import engine
 from .core import (
     TEST,
-    TRAIN,
     Dataset,
     InvalidPartitionError,
     SchemaError,
@@ -61,9 +60,9 @@ from .core import (
     save_csv,
 )
 from .inference import TEST_KINDS, get_test
-from .models import LinearModel, fit_from_dataset, load_model, save_model
+from .models import LinearModel, fit_from_dataset, load_model, save_model, training_risk
 # no cli code calls fit_sampler; it stays bound here because bench/test_bench.py reads it
-from .samplers import fit_sampler, sampler_factory, training_joint
+from .samplers import fit_sampler, sampler_factory, training_joint, training_moments
 from .scm import BUILTIN_GRAPHS, load_graph, sample_scm
 
 BUNDLED_CONFIGS = ("experiment_a", "experiment_b")
@@ -756,8 +755,10 @@ def _cmd_fit(args) -> int:
         raise ConfigError("\n".join(problems))
     data = _read("csv", load_csv, args.csv, args.target, args.split_column,
                  args.test_fraction, args.seed)
-    model = fit_from_dataset(data, features)
-    train_risk = empirical_risk(model, data, SquaredError(), TRAIN)
+    features = features or [n for n in data.variable_names if n != args.target]
+    moments = training_joint(data) or training_moments(data, [*features, args.target])
+    model = fit_from_dataset(data, features, moments=moments)
+    train_risk = training_risk(model, data, moments)  # the fit's moments: no second gather
     test_risk = empirical_risk(model, data, SquaredError(), TEST)
     terms = " + ".join(
         f"{c:.4g}*{n}" for n, c in zip(model.feature_order, model.coefficients)

@@ -38,9 +38,10 @@ class Dataset:
     """Column-named numeric data with a train/test row split.
 
     ``values`` holds one row per observation, one column per variable in
-    ``variable_names`` order. ``test_mask`` marks evaluation rows; the two
-    row sets are disjoint and exhaustive by construction. Arrays are locked
-    read-only so instances can be shared across concurrent workers.
+    ``variable_names`` order, column-major: every column is contiguous, and a
+    C-order array passed in costs one copy. ``test_mask`` marks evaluation
+    rows; the two row sets are disjoint and exhaustive by construction. Arrays
+    are locked read-only so instances can be shared across concurrent workers.
     """
 
     variable_names: tuple[str, ...]
@@ -52,7 +53,7 @@ class Dataset:
         names = tuple(str(n) for n in self.variable_names)
         if len(set(names)) != len(names):
             raise SchemaError("variable names must be unique")
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=float))
+        values = np.asarray(self.values, dtype=float, order="F")
         if values.ndim != 2:
             raise SchemaError("values must be a 2-d matrix (rows x variables)")
         if values.shape[1] != len(names):
@@ -102,20 +103,23 @@ class Dataset:
         raise ValueError(f"split must be {TRAIN!r}, {TEST!r} or None, got {split!r}")
 
     def matrix(self, names: Iterable[str], split: str | None = None) -> np.ndarray:
-        """Copy of the requested columns, in the requested order.
+        """Column-major copy of the requested columns, in the requested order.
 
-        Only the requested cells of the selected rows are gathered; the
-        other columns are never copied.
+        Each requested column is gathered in one pass over its selected
+        rows; the other columns are never read.
         """
-        idx = np.array([self.column_index(n) for n in names], dtype=np.intp)
-        return np.ascontiguousarray(self.values[np.ix_(self._row_index(split), idx)])
+        idx, rows = [self.column_index(n) for n in names], self._row_index(split)
+        out = np.empty((rows.size, len(idx)), order="F")
+        for j, k in enumerate(idx):
+            np.take(self.values[:, k], rows, out=out[:, j], mode="clip")  # "raise" buffers out
+        return out
 
     def _row_index(self, split: str | None) -> np.ndarray:
         rows = self._row_selector(split)
         return np.arange(self.n) if isinstance(rows, slice) else np.flatnonzero(rows)
 
     def column(self, name: str, split: str | None = None) -> np.ndarray:
-        return self.values[self._row_selector(split), self.column_index(name)]
+        return self.values[:, self.column_index(name)][self._row_selector(split)]
 
     def target_values(self, split: str | None = None) -> np.ndarray:
         return self.column(self.target_name, split)
@@ -195,35 +199,30 @@ def _rows_by_loadtxt(path, header, split_idx):
     when the file holds anything the pass might read differently from
     ``_rows_by_line``.
 
-    The split tags are read as ``U6``: one character wider than ``train``,
-    so a longer tag cannot be cut down to a valid one. A structured dtype
-    also makes numpy refuse a row with more fields than the header. numpy
+    Each cell is read into a field of a structured dtype, which makes numpy
+    refuse a row with more fields than the header, and the data fields are
+    copied into a column-major array. The split tags are read as ``U6``, one
+    character wider than ``train``, so a longer tag cannot be cut down. numpy
     drops trailing NULs from a string cell and reads cells of any length,
     so a file with a NUL byte or a line longer than the csv module's field
     limit is left to the line parser.
     """
     if not _plain_bytes(path):
         return None
-    if split_idx is None:
-        dtype = np.dtype(float)
-    else:
-        dtype = np.dtype([(f"c{k}", "U6" if k == split_idx else float)
-                          for k in range(len(header))])
+    dtype = np.dtype([(f"c{k}", "U6" if k == split_idx else float) for k in range(len(header))])
     try:
         with open(path, newline="", encoding="utf-8-sig") as fp, warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # "input contained no data"
             rows = np.loadtxt(fp, dtype=dtype, delimiter=",", skiprows=1,
-                              comments=None, ndmin=1 if split_idx is not None else 2)
+                              comments=None, ndmin=1)
     except (ValueError, UserWarning):
         return None
-    if split_idx is None:
-        return (rows, None) if rows.shape[1] == len(header) else None
-    tags = rows[f"c{split_idx}"]
-    test = tags == TEST
-    if not (test | (tags == TRAIN)).all():
+    tags = None if split_idx is None else rows[f"c{split_idx}"]
+    test = None if tags is None else tags == TEST
+    if tags is not None and not (test | (tags == TRAIN)).all():
         return None
     data_idx = [k for k in range(len(header)) if k != split_idx]
-    values = np.empty((rows.shape[0], len(data_idx)))
+    values = np.empty((rows.shape[0], len(data_idx)), order="F")
     for j, k in enumerate(data_idx):
         values[:, j] = rows[f"c{k}"]
     return values, test
@@ -274,7 +273,7 @@ def _rows_by_line(path, header, split_idx):
                         f"got {tag!r}"
                     )
                 tags.append(tag == TEST)
-    values = np.asarray(rows, dtype=float)
+    values = np.array(rows, dtype=float, order="F")
     return values, (np.asarray(tags, dtype=bool) if split_idx is not None else None)
 
 

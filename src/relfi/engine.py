@@ -226,7 +226,7 @@ class EvaluationContext:
     def _test_matrix(self, names: Sequence[str]) -> np.ndarray:
         """``data.matrix(names, TEST)`` from test columns gathered once each (features read
         ``X``); two cells may gather one column at once, and either copy serves."""
-        matrix = np.empty((self.X.shape[0], len(names)))
+        matrix = np.empty((self.X.shape[0], len(names)), order="F")
         for j, name in enumerate(names):
             column = self._columns.get(name)
             if column is None:
@@ -300,7 +300,7 @@ def compute_rfi(
             )
         required = context._test_matrix(sampler.required_columns)
         j = order.index(feature)
-        Xp = context.X.copy()
+        Xp = context.X.copy(order="F")  # so each replacement writes one contiguous column
         perturbed = []
         for r, z in enumerate(context.noise):
             Xp[:, j] = sampler.sample(required, z)

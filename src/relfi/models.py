@@ -64,7 +64,7 @@ def fit_ols(rows: np.ndarray, targets: np.ndarray, feature_names) -> LinearModel
     if targets.shape != (n,):
         raise ValueError("targets must be a vector matching the row count")
     _check_rows(n, p)
-    mean, cov = _moments(np.column_stack((rows, targets)).T)
+    mean, cov = _moments(np.vstack((rows.T, targets)))
     return _solve(names, mean, cov)
 
 
@@ -83,6 +83,14 @@ def fit_from_dataset(data: Dataset, features=None, *, moments: tuple | None = No
         moments = training_joint(data) or training_moments(data, names)
     idx = [moments[0].index(name) for name in names]
     return _solve(features, moments[1][idx], moments[2][np.ix_(idx, idx)])
+
+
+def training_risk(model: LinearModel, data: Dataset, moments: tuple) -> float:
+    """Squared-error risk of the least-squares ``model`` on the training rows, read
+    from the ``moments`` it was fitted from: ((n - 1) / n) (S_yy - S_yF . slopes)."""
+    idx = [moments[0].index(name) for name in (data.target_name,) + model.feature_order]
+    cov, n = moments[2][np.ix_(idx, idx)], data.n_train
+    return (n - 1) / n * float(cov[0, 0] - cov[0, 1:] @ model.coefficients)
 
 
 def _check_rows(n: int, p: int) -> None:

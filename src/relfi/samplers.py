@@ -125,20 +125,23 @@ def fit_gaussian(rows: np.ndarray, names, ridge: float | None = None) -> Gaussia
         raise SchemaError("rows must be a matrix with one column per name")
     if rows.shape[0] < 2:
         raise CovarianceError("need at least 2 rows to fit a covariance")
-    return _ridged_joint(names, *_moments(np.array(rows).T), ridge)
+    return _ridged_joint(names, *_moments(np.array(rows.T, order="C")), ridge)
 
 
 def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Mean and ``np.cov`` (None below 2 observations) of the variables in the rows
-    of ``x``, centring ``x`` in place. One variable is summed pairwise by numpy, not
-    by BLAS, which splits a long dot product across threads, so its bits would vary."""
+    """Mean and ``np.cov`` (None below 2 observations) of the variables in the
+    contiguous rows of ``x``, centring ``x`` in place. Each mean is its row's
+    pairwise sum, so it has the bits of that row's own mean."""
     mean = x.mean(axis=1)
     if x.shape[1] < 2:
         return mean, None
     x -= mean[:, None]
-    cov = np.dot(x, x.T) if x.shape[0] > 1 else np.sum(x * x, keepdims=True)
-    cov *= np.true_divide(1, x.shape[1] - 1)
-    return mean, cov
+    return mean, np.dot(x, x.T) * np.true_divide(1, x.shape[1] - 1) if len(x) > 1 else _variance(x)
+
+
+def _variance(row: np.ndarray) -> np.ndarray:
+    """1 x 1 ``np.cov`` of a centred row, summed by numpy: BLAS splits it across threads."""
+    return np.sum(row * row, keepdims=True) * np.true_divide(1, row.shape[1] - 1)
 
 
 def _ridge_share(ridge: float | None) -> float:
@@ -291,17 +294,16 @@ def training_moments(data: Dataset, names) -> tuple:
     """(names, mean, unridged covariance, {name: (min, max)}, {name: (mean, covariance)})
     of the named columns on the training rows: the last holds each column's own, with
     the bits of ``training_moments(data, (name,))``. A covariance is None below 2 rows;
-    it repeats ``np.cov`` (same bits for two or more columns) but centres in place."""
+    it repeats ``np.cov`` (same bits for two or more columns) but centres in place. Each
+    column's own variance is summed from its centred row of the joint: no column is copied."""
     names = tuple(names)
     if data.n_train == 0:
         raise SchemaError("no training rows to fit a sampler on")
     x = data.matrix(names, TRAIN).T  # np.cov's layout: one row per variable
-    bounds, alone = {}, {}
-    for name, row in zip(names, x):
-        column = row[None].copy()  # contiguous, so summed pairwise as the column alone is
-        bounds[name] = (column.min(), column.max())
-        alone[name] = _moments(column)
-    mean, cov = _moments(x) if len(names) > 1 else alone[names[0]]
+    bounds = {name: (row.min(), row.max()) for name, row in zip(names, x)}
+    mean, cov = _moments(x)
+    alone = {name: (mean[i:i + 1], cov if cov is None else _variance(x[i:i + 1]))
+             for i, name in enumerate(names)}
     return names, mean, cov, bounds, alone
 
 
@@ -350,7 +352,7 @@ def fit_sampler(
     if conditioning:
         idx = [columns.index(name) for name in names]
         mean, cov = mean[idx], cov[np.ix_(idx, idx)]
-    else:  # one contiguous column is summed pairwise: a block would not have its bits
+    else:  # a variance summed pairwise by numpy: the joint's BLAS diagonal has other bits
         mean, cov = alone[feature]
     joint = _ridged_joint(names, mean, cov, ridge)
     if kind == "knockoff":

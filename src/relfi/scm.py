@@ -108,8 +108,8 @@ def _topological_order(nodes: tuple[str, ...], edges: tuple[Edge, ...]) -> tuple
         raise GraphError(f"cycle detected involving: {cycle}") from None
 
 
-# Rows per block of structural equations: a block of every column stays in
-# cache while each equation reads and writes it, however many rows there are.
+# Rows per block of noise and structural equations: a block of every column
+# stays in cache while each equation reads and writes it, however many rows.
 _EQUATION_BLOCK_ROWS = 4096
 
 
@@ -122,13 +122,13 @@ def sample_scm(
 ) -> Dataset:
     """Ancestral sampling: draw ``n`` observations of every node.
 
-    Noise columns are assigned by node declaration order before any
-    structural equation is evaluated, so the draw for a node does not
-    depend on how the topological sort broke ties. The noise is drawn
-    into the array that becomes ``Dataset.values``: each node's value
-    overwrites its own noise column, which no other node reads. The
-    equations run over blocks of rows, each block through every node in
-    topological order; every entry sees the same operations in the same
+    The noise is the stream of one ``standard_normal((n, k))`` draw, its
+    columns in node declaration order, so the draw for a node does not
+    depend on how the topological sort broke ties. It is drawn in blocks
+    of rows into one reused buffer, and each block runs through every
+    node in topological order, which writes the node's value straight
+    into its column of the column-major array that becomes
+    ``Dataset.values``. Every entry sees the same operations in the same
     order as a whole-column pass, so the bits do not depend on the block
     size. The train/test split comes from the same seed on an independent
     stream.
@@ -137,19 +137,20 @@ def sample_scm(
     if target is None:
         target = "Y" if "Y" in graph.nodes else graph.nodes[-1]
     rng = np.random.default_rng(int(seed))
-    values = rng.standard_normal((n, len(graph.nodes)))
+    values = np.empty((n, len(graph.nodes)), order="F")
+    noise = np.empty((min(n, _EQUATION_BLOCK_ROWS), len(graph.nodes)))
     equations = []
     for name in graph.topological_order:
         i = graph.node_index(name)
         parents = [(e.coefficient, graph.node_index(e.parent)) for e in graph.parents_of(name)]
         equations.append((i, graph.noise_scale[i], parents))
     for start in range(0, n, _EQUATION_BLOCK_ROWS):
-        block = values[start:start + _EQUATION_BLOCK_ROWS]
+        z = rng.standard_normal(out=noise[:n - start])
+        block = values[start:start + len(z)]
         for i, scale, parents in equations:
-            col = scale * block[:, i]
+            col = np.multiply(scale, z[:, i], out=block[:, i])
             for coefficient, p in parents:
                 col += coefficient * block[:, p]
-            block[:, i] = col
     return Dataset(graph.nodes, values, target, mask)
 
 

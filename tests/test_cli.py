@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import platform
@@ -35,9 +36,9 @@ from relfi.cli import (
     run_experiment,
     validate_config,
 )
-from relfi.core import TEST, load_csv, load_yaml
+from relfi.core import TEST, TRAIN, Dataset, SquaredError, empirical_risk, load_csv, load_yaml
 from relfi.engine import CSV_HEADER, RATIO, RfiEstimate
-from relfi.models import LinearModel, load_model, save_model
+from relfi.models import LinearModel, fit_from_dataset, load_model, save_model
 from relfi.scm import BUILTIN_GRAPHS, builtin_graph, sample_scm
 
 
@@ -947,6 +948,30 @@ class TestMainVerbs:
         assert main(["simulate", "mystery", "--n", "10",
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert "built-ins" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, digest", [
+        ("experiment_a", "e415b4073c1808c1cd6d6c43bbadd65b800c841028dc318f8edd513ccab1761d"),
+        ("experiment_b", "de9fdc83bb2ffcb56aaad2190808f2329ecc42fa97da7f3c0c5f18f7a6f4f36a"),
+    ])
+    def test_simulated_csv_bytes_are_pinned(self, tmp_path, name, digest):
+        # no BLAS call touches these bytes, so one pin serves every kernel
+        out = tmp_path / "d.csv"
+        assert main(["simulate", name, "--n", "5000", "--seed", "3", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_fit_gathers_the_training_rows_once(self, tmp_path, monkeypatch, capsys):
+        # the train risk comes from the moments of the fit, not from a second gather
+        csv_path = tmp_path / "d.csv"
+        assert main(["simulate", "experiment_b", "--n", "2000", "--seed", "4",
+                     "--out", str(csv_path)]) == 0
+        splits, matrix = [], Dataset.matrix
+        monkeypatch.setattr(Dataset, "matrix", lambda self, names, split=None:
+                            splits.append(split) or matrix(self, names, split))
+        assert main(["fit", str(csv_path), "--target", "Y", "--split-column", "split"]) == 0
+        assert splits == [TRAIN, TEST]
+        data = load_csv(csv_path, "Y", split_column="split")
+        want = empirical_risk(fit_from_dataset(data), data, SquaredError(), TRAIN)
+        assert f"train risk {want:.6g}, test risk " in capsys.readouterr().out
 
     def test_fit_reports_and_saves(self, tmp_path, capsys):
         csv_path = tmp_path / "d.csv"

@@ -57,8 +57,20 @@ class TestDataset:
         data = Dataset(("a", "b", "c", "y"), values, "y", mask)
         for split, rows in ((None, values), (TRAIN, values[~mask]), (TEST, values[mask])):
             m = data.matrix(("c", "a", "c"), split)
-            assert m.flags.c_contiguous and m.flags.writeable
+            assert m.flags.f_contiguous and m.flags.writeable
             assert m.tobytes() == np.ascontiguousarray(rows[:, [2, 0, 2]]).tobytes()
+
+    def test_values_are_stored_column_major(self):
+        base = np.random.default_rng(9).normal(size=(8, 6))
+        inputs = {"C": np.ascontiguousarray(base[:, :3]), "F": np.asfortranarray(base[:, :3]),
+                  "strided": base[::2, ::2], "list": base[:, :3].tolist()}
+        for kind, values in inputs.items():
+            data = Dataset(("a", "b", "y"), values, "y", np.arange(len(values)) < 2)
+            assert data.values.flags.f_contiguous, kind
+            assert np.array_equal(data.values, np.asarray(values)), kind
+        # a column-major array is kept as it is: no copy
+        assert np.shares_memory(Dataset(("a", "b", "y"), inputs["F"], "y",
+                                        np.arange(8) < 2).values, inputs["F"])
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(SchemaError):

@@ -156,6 +156,31 @@ def test_byte_order_mark_is_not_part_of_the_header(scratch, text):
     assert _outcome(scratch, None) == plain
 
 
+@pytest.mark.parametrize("split", [None, "split"])
+@pytest.mark.parametrize("quote", ["", '"'], ids=["fast-pass", "line-parser"])
+def test_load_builds_the_column_major_array_it_keeps(scratch, monkeypatch, split, quote):
+    # Dataset takes the array load_csv hands it as it is: no second full copy
+    handed, readers = [], []
+
+    class Recording(Dataset):
+        def __post_init__(self):
+            handed.append(self.values)
+            super().__post_init__()
+
+    monkeypatch.setattr(core, "Dataset", Recording)
+    line_parser = core._rows_by_line
+    monkeypatch.setattr(core, "_rows_by_line", lambda *a: readers.append(a) or line_parser(*a))
+    rows = [(1.5, -2.0, 3.25), (4.0, 0.5, -6.0), (7.0, 8.5, 9.0)]
+    lines = [f"{quote}{a}{quote},{b},{c}" + ("" if split is None else f",{tag}")
+             for (a, b, c), tag in zip(rows, (TRAIN, TEST, TRAIN))]
+    scratch.write_text(",".join(["x0", "x1", "y"] + ([split] if split else [])) + "\n"
+                       + "\n".join(lines) + "\n")
+    data = load_csv(scratch, "y", split_column=split)
+    assert len(readers) == (quote != "")
+    assert data.values is handed[0] and data.values.flags.f_contiguous
+    assert np.array_equal(data.values, rows)
+
+
 def test_nul_and_overlong_cells_take_the_line_parser(scratch):
     scratch.write_bytes(b"y,split\n1,test\x00\n2,train\n")
     assert core._rows_by_loadtxt(scratch, ["y", "split"], 1) is None

@@ -53,7 +53,7 @@ class TestComputeRfi:
         j = model.feature_order.index("X4")
         for r in range(3):
             z = np.random.default_rng([9, r]).standard_normal(X.shape[0])
-            Xp = X.copy()
+            Xp = X.copy(order="F")  # the engine's layout, which the model's gemv reads
             Xp[:, j] = s.intercept + s.scale * z
             risk = float(LOSS.pointwise(y, model.predict(Xp)).mean())
             assert est.perturbed_risks[r] == risk
@@ -289,7 +289,7 @@ class TestLibraryContext:
             for _ in range(2):  # first gather, then the kept columns
                 got, want = ctx._test_matrix(names), data.matrix(names, TEST)
                 assert got.shape == want.shape and got.dtype == want.dtype
-                assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+                assert got.flags.f_contiguous and got.tobytes() == want.tobytes()
         assert set(ctx._columns) == {"X1", "X2", "X3", "X4"}
         assert not any(column.flags.writeable for column in ctx._columns.values())
 

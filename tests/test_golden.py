@@ -18,6 +18,10 @@ Haswell, Sandybridge and Katmai as chosen with ``OPENBLAS_CORETYPE``
 pinned set fails, as does a mismatch elsewhere: it means the environment
 or the CPU changed, not necessarily the code. A mismatch names the
 environment it ran in, kernel included.
+
+``PYTHONPATH=src python tests/test_golden.py`` prints ``_RESULTS`` as the
+code now produces it under each of the four kernels, one process each,
+for a re-pin.
 """
 
 import dataclasses
@@ -26,6 +30,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -39,20 +44,20 @@ _FIGURES = {
 }
 _RESULTS = {  # kernel: {config: results.csv}
     "SkylakeX": {
-        "experiment_a": "68f1806c13127c02cd7c67c0aedc8624c945e181f17856629105dfd21cb1473c",
-        "experiment_b": "981b6092be004b3f98674907ee6a273294f641ec7bb4b9b6455c7dc2da08b86b",
+        "experiment_a": "0e7c0790aece8311519ee531a61ec3537308b7e31d004e1b25771a262a772d88",
+        "experiment_b": "9a2c847c90d09aa0eb256eed2c695fd1a1db8277c7b3a111e9f9c0a2779bd2dc",
     },
     "Haswell": {
-        "experiment_a": "087637e18c6f894910de44e5c6700e651e21be3273d5cfb51e7c489ff55ec7ac",
-        "experiment_b": "27e6b267f29cd0b95550752c44a7f206182ac4d717ab2c33869e8e13fa730505",
+        "experiment_a": "c445db024c638451607550d924a15c4dbfe2ec258fbefecc2a0e8b42ae2c22c7",
+        "experiment_b": "aea75f44b8470cfac5642ec3671147cb6a7cfe5fd8b6fd4c185942c32779c9a8",
     },
     "Sandybridge": {
-        "experiment_a": "b8d40af84f44b0b4129a7415a029ebb0ec7feb55705807de3ad4d09acc6a6ec9",
-        "experiment_b": "b18a95c403f43a5cf46fdddb4f06e6fd3522a7a9f70e2b60de7d99da26c34377",
+        "experiment_a": "f54250bd2eba9ff93d26dff5b64df5642a999e3b997cc95872c3fdc69ffd9e5d",
+        "experiment_b": "43a662fb648d9117d22a68a6d59f1f64a8615063b83329e17ac65aadb9b3b08d",
     },
     "Katmai": {
-        "experiment_a": "3dda057481f368a55cb18f478dcf2cc7830c7b00c163e78171013322c18029bd",
-        "experiment_b": "e971ff23b5bc3714d03d48a470e94969a988557692d7f6aef0a6a3f922ea2339",
+        "experiment_a": "10ba5ac7d3620517b0d805e7f3db63e7932fd1cd9e919109aee6d41175b620f1",
+        "experiment_b": "007fa92b9ed3465fb4bebe973dd3a4b5ef0a594494856cbc34f10e1ce6629204",
     },
 }
 GOLDEN = {
@@ -83,11 +88,9 @@ def test_bundled_outputs_match_pinned_hashes(tmp_path, name, workers):
     )
 
 
-@pytest.mark.skipif(_environment()["blas_kernel"] is None,
-                    reason="numpy without its bundled OpenBLAS")
-@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Katmai"])
-def test_other_kernels_match_their_pins(tmp_path, kernel):
-    # the kernel is picked when OpenBLAS loads, so only a new process can switch it
+def kernel_hashes(kernel: str, cwd) -> list:
+    """[the kernel loaded, {config: bundled_hashes}] from a new process that asks
+    OpenBLAS for ``kernel``: the kernel is picked when OpenBLAS loads."""
     code = ("import json, runpy, sys; from relfi.cli import _environment; "
             "g = runpy.run_path(sys.argv[1]); "
             "print(json.dumps([_environment()['blas_kernel'], "
@@ -96,7 +99,32 @@ def test_other_kernels_match_their_pins(tmp_path, kernel):
     coretype = {"Katmai": "Prescott"}.get(kernel, kernel)  # the core type that loads it
     env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
            "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
-    out = subprocess.run([sys.executable, "-c", code, __file__], env=env, cwd=tmp_path,
+    out = subprocess.run([sys.executable, "-c", code, __file__], env=env, cwd=cwd,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == [kernel, GOLDEN[kernel]]
+    return json.loads(out.stdout)
+
+
+@pytest.mark.skipif(_environment()["blas_kernel"] is None,
+                    reason="numpy without its bundled OpenBLAS")
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Katmai"])
+def test_other_kernels_match_their_pins(tmp_path, kernel):
+    assert kernel_hashes(kernel, tmp_path) == [kernel, GOLDEN[kernel]]
+
+
+if __name__ == "__main__":
+    table = {}
+    for kernel in _RESULTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded, hashes = kernel_hashes(kernel, tmp)
+        table[loaded] = {name: pins["results.csv"] for name, pins in hashes.items()}
+        for name, pins in hashes.items():
+            if pins["figure.svg"] != _FIGURES[name]:
+                print(f"{loaded} {name}: figure.svg {pins['figure.svg']}", file=sys.stderr)
+    print("_RESULTS = {  # kernel: {config: results.csv}")
+    for kernel, pins in table.items():
+        print(f'    "{kernel}": {{')
+        for name, digest in pins.items():
+            print(f'        "{name}": "{digest}",')
+        print("    },")
+    print("}")

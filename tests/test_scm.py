@@ -251,9 +251,11 @@ class TestSampling:
         )
         g = ScmGraph(tuple(f"v{i}" for i in range(8)), tuple(rng.uniform(0.1, 2, 8)), edges)
         assert g.topological_order != g.nodes
-        # inside one block, exactly one block, several blocks and a ragged tail
-        for n in (1001, _BLOCK, 3 * _BLOCK + 17):
+        # the fewest rows a split takes, inside one block, exactly one block,
+        # several blocks and a ragged tail; the noise is one whole-array draw
+        for n in (2, _BLOCK - 1, _BLOCK, 3 * _BLOCK + 17):
             data = sample_scm(g, n, seed=13)
+            assert data.values.flags.f_contiguous
             noise = np.random.default_rng(13).standard_normal((n, 8))
             values = np.empty((n, 8))
             for name in g.topological_order:
