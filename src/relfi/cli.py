@@ -16,7 +16,7 @@ share one input stage, ``read_inputs``, so ``validate`` reports exactly
 what would stop ``run``. Exit codes: 0 on success, 2 for a problem with
 any input, 3 for a failure while fitting or scoring (a rank-deficient
 fit, a singular covariance, no test rows, test losses whose sum or sum
-of squares is not finite, the ratio form on a perfect fit).
+of squares is not finite).
 """
 
 from __future__ import annotations
@@ -105,16 +105,11 @@ class ExperimentConfig:
     model: str = "ols"
     ridge: float | None = None
     replications: int = 30
-    form: str = engine.DIFFERENCE
     test_kind: str = TEST_KINDS[0]
 
 
 def _is_text(value) -> bool:
     return isinstance(value, str) and bool(value)
-
-
-def _one_of(choices) -> tuple:
-    return tuple(choices).__contains__, f"must be one of {', '.join(choices)}"
 
 
 class _Key(NamedTuple):
@@ -144,8 +139,8 @@ _KEYS = (
     _Key("sampler.ridge", "ridge", lambda v: v is None or is_number(v) and v >= 0,
          "must be null or a finite number >= 0", float),
     _Key("replications", "replications", lambda v: is_int(v, 1), "must be an integer >= 1"),
-    _Key("form", "form", *_one_of(engine.FORMS)),
-    _Key("test.kind", "test_kind", *_one_of(TEST_KINDS)),
+    _Key("test.kind", "test_kind", TEST_KINDS.__contains__,
+         f"must be one of {', '.join(TEST_KINDS)}"),
     _Key("output", "output", _is_text, "must be a non-empty directory path"),
 )
 
@@ -458,8 +453,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     context = engine.EvaluationContext(
         model, SquaredError(), data, config.replications, config.seed
     )
-    if config.form == engine.RATIO:
-        engine.check_ratio_baseline(context.baseline_risk, context.ratio_floor)
     test = get_test(config.test_kind)
     cells = _expand_cells(config.jobs)
     csv_path = os.path.join(config.output, "results.csv")
@@ -469,7 +462,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
 
     def evaluate(cell: tuple[str, tuple[str, ...]]):
         estimate = engine.score_cell(context, *cell, factory)
-        row = engine.result_row(estimate, test(estimate.first_differences), config.form)
+        row = engine.result_row(estimate, test(estimate.first_differences))
         # the figure reads no test row, so the cell's n_test differences go now
         return row, dataclasses.replace(estimate, first_differences=())
 
@@ -491,7 +484,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     # titled after the data file's name, not its directory or the output
     # path, so moving either cannot change a single output byte
     title = os.path.basename(config.data_graph or config.data_csv)
-    svg = render_figure(estimates, config.form, title=title)
+    svg = render_figure(estimates, title=title)
     with open(svg_path, "w", newline="") as fp:
         fp.write(svg)
     seconds = time.perf_counter() - started
@@ -549,7 +542,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
-def render_figure(estimates, form: str = engine.DIFFERENCE, title: str = "") -> str:
+def render_figure(estimates, title: str = "") -> str:
     """Grouped bar chart of the estimates with 95% CI whiskers, as SVG text.
 
     Groups are features, bars within a group are conditioning sets, both
@@ -561,17 +554,16 @@ def render_figure(estimates, form: str = engine.DIFFERENCE, title: str = "") -> 
     cond_labels = list(dict.fromkeys(est.conditioning for est in estimates))
     values = {}
     for est in estimates:  # below two replications se and stdtrit(0, .) are NaN
-        half = est.value_se(form) * float(stdtrit(est.replications - 1, 0.975))
-        values[(est.feature, est.conditioning)] = (est.value(form), half)
+        half = est.se * float(stdtrit(est.replications - 1, 0.975))
+        values[(est.feature, est.conditioning)] = (est.point, half)
 
-    reference = 0.0 if form == engine.DIFFERENCE else 1.0
-    lo, hi = reference, reference
+    lo, hi = 0.0, 0.0
     for value, half in values.values():
         spread = half if math.isfinite(half) else 0.0
         lo = min(lo, value - spread)
         hi = max(hi, value + spread)
     if hi - lo <= 0:
-        lo, hi = reference - 1.0, reference + 1.0
+        lo, hi = -1.0, 1.0
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
 
@@ -596,7 +588,7 @@ def render_figure(estimates, form: str = engine.DIFFERENCE, title: str = "") -> 
         y = y_of(tick)
         out.append(_line(left, y, left + plot_w, y, "#dddddd", 1))
         out.append(_text(left - 8, y + 4, 11, f"{tick:g}", "#444444", ' text-anchor="end"'))
-    y_ref = y_of(reference)
+    y_ref = y_of(0.0)
     out.append(_line(left, y_ref, left + plot_w, y_ref, "#555555", 1.2))
     for fi, feature in enumerate(features):
         gx = left + fi * group_w + group_pad
@@ -616,9 +608,8 @@ def render_figure(estimates, form: str = engine.DIFFERENCE, title: str = "") -> 
         out.append(_text(gx + (group_w - 2 * group_pad) / 2, top + plot_h + 20, 12, feature,
                          extra=' text-anchor="middle"'))
     out.append(_line(left, top, left, top + plot_h, "#222222", 1))
-    axis_label = "risk difference" if form == engine.DIFFERENCE else "risk ratio"
     y_mid = top + plot_h / 2
-    out.append(_text(16, y_mid, 12, axis_label,
+    out.append(_text(16, y_mid, 12, "risk difference",
                      extra=f' transform="rotate(-90 16 {y_mid:.2f})" text-anchor="middle"'))
     lx = left + plot_w + 24
     for ci, legend in enumerate(legends):
@@ -663,7 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--output", help="override the output directory")
     p_run.add_argument("--seed", type=int, help="override the base seed")
     p_run.add_argument("--replications", type=int, help="override the replication count")
-    p_run.add_argument("--form", help="override the estimate form")
     p_run.add_argument("--jobs", type=int, default=1,
                        help="max concurrent jobs (default 1)")
 
@@ -694,8 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     if args.jobs < 1:
         raise ConfigError("--jobs: must be an integer >= 1")
-    flags = {"output": args.output, "seed": args.seed, "replications": args.replications,
-             "form": args.form}
+    flags = {"output": args.output, "seed": args.seed, "replications": args.replications}
     config = load_config(args.config, [(k, v) for k, v in flags.items() if v is not None])
     result = run_experiment(config, workers=args.jobs)
     print(

@@ -201,15 +201,16 @@ def _rows_by_loadtxt(path, header, split_idx):
 
     Each cell is read into a field of a structured dtype, which makes numpy
     refuse a row with more fields than the header, and the data fields are
-    copied into a column-major array. The split tags are read as ``U6``, one
-    character wider than ``train``, so a longer tag cannot be cut down. numpy
+    copied into a column-major array. The split tags are read as ``S6``, one
+    byte wider than ``train``, so a longer tag cannot be cut down to a match;
+    numpy encodes a tag as Latin-1 and refuses one it cannot encode. numpy
     drops trailing NULs from a string cell and reads cells of any length,
     so a file with a NUL byte or a line longer than the csv module's field
     limit is left to the line parser.
     """
     if not _plain_bytes(path):
         return None
-    dtype = np.dtype([(f"c{k}", "U6" if k == split_idx else float) for k in range(len(header))])
+    dtype = np.dtype([(f"c{k}", "S6" if k == split_idx else float) for k in range(len(header))])
     try:
         with open(path, newline="", encoding="utf-8-sig") as fp, warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # "input contained no data"
@@ -218,8 +219,8 @@ def _rows_by_loadtxt(path, header, split_idx):
     except (ValueError, UserWarning):
         return None
     tags = None if split_idx is None else rows[f"c{split_idx}"]
-    test = None if tags is None else tags == TEST
-    if tags is not None and not (test | (tags == TRAIN)).all():
+    test = None if tags is None else tags == TEST.encode()
+    if tags is not None and not (test | (tags == TRAIN.encode())).all():
         return None
     data_idx = [k for k in range(len(header)) if k != split_idx]
     values = np.empty((rows.shape[0], len(data_idx)), order="F")

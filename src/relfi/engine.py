@@ -51,10 +51,6 @@ from .core import (
 from .inference import TestResult
 from .samplers import _AffineSampler
 
-DIFFERENCE = "difference"
-RATIO = "ratio"
-FORMS = (DIFFERENCE, RATIO)
-
 CSV_HEADER = ("feature", "G", "estimate", "se", "t", "p", "replications", "seed")
 
 SamplerFactory = Callable[[str, tuple[str, ...]], _AffineSampler]
@@ -67,9 +63,9 @@ class RfiEstimate:
     ``perturbed_risks`` holds the per-replication risk under replacement;
     ``baseline_risk`` is shared by all replications. ``first_differences``
     keeps the per-observation loss differences of replication 0, the
-    input to the significance tests. The estimate has two statistics,
-    ``value(form)`` and its standard error ``value_se(form)``; ``point``,
-    ``se``, ``ratio`` and ``ratio_se`` are shorthands for them.
+    input to the significance tests. The estimate is ``point``, the mean
+    risk under replacement minus the baseline risk, with standard error
+    ``se``.
     """
 
     feature: str
@@ -78,7 +74,6 @@ class RfiEstimate:
     perturbed_risks: tuple[float, ...]
     first_differences: np.ndarray
     base_seed: int
-    ratio_floor: float = 0.0
 
     def __post_init__(self) -> None:
         if len(self.perturbed_risks) < 1:
@@ -91,35 +86,23 @@ class RfiEstimate:
     def replications(self) -> int:
         return len(self.perturbed_risks)
 
-    def value(self, form: str = DIFFERENCE) -> float:
-        """Mean risk under replacement minus the baseline, or divided by it in ratio form."""
+    @property
+    def point(self) -> float:
+        """Mean risk under replacement minus the baseline risk."""
         risks, b = self.perturbed_risks, self.baseline_risk
         # The mean of equal floats need not equal them; when every
         # replication reproduced the baseline, the mean is the baseline.
         mean = b if all(r == b for r in risks) else np.mean(risks)
-        return float(self._against_baseline(mean, form))
+        return float(mean - b)
 
-    def value_se(self, form: str = DIFFERENCE) -> float:
-        """Standard error of ``value(form)``: the spread of the per-replication
-        values. A single replication carries no spread; its error is NaN."""
-        values = self._against_baseline(np.asarray(self.perturbed_risks), form)
+    @property
+    def se(self) -> float:
+        """Standard error of ``point``: the spread of the per-replication
+        differences. A single replication carries no spread; its error is NaN."""
+        values = np.asarray(self.perturbed_risks) - self.baseline_risk
         if values.size < 2:
             return math.nan
         return float(values.std(ddof=1) / math.sqrt(values.size))
-
-    def _against_baseline(self, risks, form: str):
-        """``risks`` minus the baseline, or divided by it once the ratio form is checked."""
-        if form == DIFFERENCE:
-            return risks - self.baseline_risk
-        if form != RATIO:
-            raise ValueError(f"form must be one of {', '.join(FORMS)}; got {form!r}")
-        check_ratio_baseline(self.baseline_risk, self.ratio_floor)
-        return risks / self.baseline_risk
-
-    point = property(lambda self: self.value(DIFFERENCE), doc="``value`` in difference form.")
-    se = property(lambda self: self.value_se(DIFFERENCE), doc="``value_se`` in difference form.")
-    ratio = property(lambda self: self.value(RATIO), doc="``value`` in ratio form.")
-    ratio_se = property(lambda self: self.value_se(RATIO), doc="``value_se`` in ratio form.")
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,16 +135,6 @@ class DeltaRfi:
         return math.hypot(self.base.se, self.extended.se)
 
 
-def check_ratio_baseline(baseline_risk: float, floor: float) -> None:
-    """Refuse the ratio form (ValueError) on a baseline risk at or below ``floor``:
-    a perfect fit, where the ratio would divide rounding noise by rounding noise."""
-    if baseline_risk <= floor:
-        raise ValueError(
-            f"the ratio form is undefined: the baseline risk {baseline_risk!r} is negligible "
-            "next to the variance of the test response (a perfect fit); use the difference form"
-        )
-
-
 def _check_counts(replications, base_seed) -> None:
     for name, value, low in (("replications", replications, 1), ("base_seed", base_seed, 0)):
         if not is_int(value, low):
@@ -174,9 +147,8 @@ class EvaluationContext:
 
     Built from the model, loss, data, replication count and base seed, it
     holds the test matrix ``X``, the response ``y``, the baseline losses
-    and risk, ``ratio_floor`` (machine epsilon times var(y), see
-    ``check_ratio_baseline``) and ``noise``: row r is the standard-normal
-    vector drawn from the seed pair (base seed, r), one entry per test row.
+    and risk, and ``noise``: row r is the standard-normal vector drawn
+    from the seed pair (base seed, r), one entry per test row.
     All arrays are locked read-only, so one context can serve concurrent cells.
     Test losses whose sum or sum of squares is not finite are refused (ValueError).
     """
@@ -190,7 +162,6 @@ class EvaluationContext:
     y: np.ndarray = field(init=False)
     base_losses: np.ndarray = field(init=False)
     baseline_risk: float = field(init=False)
-    ratio_floor: float = field(init=False)
     noise: np.ndarray = field(init=False)
     _columns: dict = field(init=False, repr=False, default_factory=dict)
 
@@ -216,8 +187,7 @@ class EvaluationContext:
             arr.setflags(write=False)
         derived = dict(
             replications=int(self.replications), base_seed=int(self.base_seed), X=X, y=y,
-            base_losses=base_losses, baseline_risk=baseline_risk,
-            ratio_floor=float(np.finfo(float).eps * np.var(y)), noise=noise,
+            base_losses=base_losses, baseline_risk=baseline_risk, noise=noise,
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -310,7 +280,7 @@ def compute_rfi(
                 first_diff = losses - context.base_losses
     return RfiEstimate(
         feature, conditioning, context.baseline_risk, tuple(perturbed), first_diff,
-        context.base_seed, context.ratio_floor,
+        context.base_seed,
     )
 
 
@@ -383,7 +353,7 @@ def format_conditioning(conditioning) -> str:
     return ";".join(canonical_names(conditioning))
 
 
-def result_row(estimate: RfiEstimate, test: TestResult, form: str = DIFFERENCE) -> list[str]:
+def result_row(estimate: RfiEstimate, test: TestResult) -> list[str]:
     """One CSV record: feature, G, estimate, se, t, p, replications, seed.
 
     Floats are rendered with repr so equal results serialize to equal
@@ -392,8 +362,8 @@ def result_row(estimate: RfiEstimate, test: TestResult, form: str = DIFFERENCE) 
     return [
         estimate.feature,
         format_conditioning(estimate.conditioning),
-        repr(estimate.value(form)),
-        repr(estimate.value_se(form)),
+        repr(estimate.point),
+        repr(estimate.se),
         repr(float(test.statistic)),
         repr(float(test.p_value)),
         str(estimate.replications),

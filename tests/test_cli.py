@@ -37,7 +37,7 @@ from relfi.cli import (
     validate_config,
 )
 from relfi.core import TEST, TRAIN, Dataset, SquaredError, empirical_risk, load_csv, load_yaml
-from relfi.engine import CSV_HEADER, RATIO, RfiEstimate
+from relfi.engine import CSV_HEADER, RfiEstimate
 from relfi.models import LinearModel, fit_from_dataset, load_model, save_model
 from relfi.scm import BUILTIN_GRAPHS, builtin_graph, sample_scm
 
@@ -76,7 +76,6 @@ class TestConfigParsing:
         config = make_config(tmp_path)
         assert config.test_fraction == 0.10
         assert config.model == "ols"
-        assert config.form == "difference"
         assert config.test_kind == "paired-t"
 
     def test_problems_are_batched(self, tmp_path):
@@ -84,14 +83,14 @@ class TestConfigParsing:
             tmp_path,
             test_fraction=1.5,
             replications=0,
-            form="log",
+            seed=-1,
             sampler={"ridge": -1},
             test={"kind": "wilcoxon"},
         )
         config, problems = config_from_mapping(mapping)
         assert config is None
         text = "\n".join(problems)
-        for fragment in ("test_fraction", "replications", "form", "sampler.ridge", "test.kind"):
+        for fragment in ("test_fraction", "replications", "seed", "sampler.ridge", "test.kind"):
             assert fragment in text
 
     def test_unknown_keys_flagged(self, tmp_path):
@@ -226,10 +225,10 @@ class TestConfigHash:
     def test_bundled_hashes_pinned(self):
         # plain JSON of the config: pins the writer's key layout, not numerics
         assert config_hash(load_config("experiment_a")) == (
-            "22ed733e2aaf58962c0a651c2c5f931820e017cdba87f192ce19670c3aed02ea"
+            "4c5b8c5fab8282b1f5cd6ae286168779b96ed11da0b5ca349f9b8ab4a195341e"
         )
         assert config_hash(load_config("experiment_b")) == (
-            "b4ae00f2ce9dcc6681a11e5715714785a003ea3655bd861e90c29a6d54db6278"
+            "b3be7aba09129b01413115944dd74d0a2db46dd1c8451261984cad38d130bd68"
         )
 
 
@@ -476,9 +475,11 @@ class TestFigure:
         assert "risk difference" in svg
         assert "nan" not in svg.lower()
 
-    def test_ratio_form_reference(self):
-        svg = render_figure(self._estimates(), form=RATIO)
-        assert "risk ratio" in svg
+    def test_zero_estimate_sits_on_the_reference_line(self):
+        # an all-zero chart spans [-1, 1], so the reference line halves the plot
+        est = RfiEstimate("X1", ("X1",), 1.0, (1.0, 1.0), np.zeros(3), 0)
+        svg = render_figure([est])
+        assert '<line x1="70.00" y1="186.00" x2="190.00" y2="186.00" stroke="#555555"' in svg
 
     def test_title_embedded(self):
         svg = render_figure(self._estimates(), title="experiment_a")
@@ -687,6 +688,7 @@ class TestMainVerbs:
         ({"loss": "squared"}, "unknown top-level key 'loss'"),
         ({"test": {"alpha": 0.01}}, "test: unknown keys alpha"),
         ({"sampler": {"kind": "gaussian"}}, "sampler: unknown keys kind"),
+        ({"form": "ratio"}, "unknown top-level key 'form'"),
     ])
     def test_retired_keys_refused(self, tmp_path, capsys, retired, message):
         path = tmp_path / "c.yaml"
@@ -703,6 +705,14 @@ class TestMainVerbs:
         assert main(["run", "experiment_a", "--sampler", "knockoff", "--output", str(out)]) == 2
         assert "unrecognized arguments: --sampler knockoff" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_retired_form_flag_refused(self, tmp_path, capsys):
+        # every estimate is the risk difference
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(base_mapping(tmp_path)))
+        assert main(["run", str(path), "--form", "ratio"]) == 2
+        assert "unrecognized arguments: --form ratio" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_refused(self, tmp_path, capsys, jobs):
@@ -739,25 +749,6 @@ class TestMainVerbs:
         assert not (tmp_path / "out").exists()
         assert threading.active_count() == threads
 
-    def test_ratio_form_refused_on_perfect_fit(self, tmp_path, capsys):
-        rng = np.random.default_rng(0)
-        a, b = rng.normal(size=200).tolist(), rng.normal(size=200).tolist()
-        rows = ["a,b,Y"] + [f"{x!r},{z!r},{x + 2 * z + 0.5!r}" for x, z in zip(a, b)]
-        csv_path = tmp_path / "exact.csv"
-        csv_path.write_text("\n".join(rows) + "\n")
-        mapping = base_mapping(
-            tmp_path, data={"csv": str(csv_path)}, features=["a", "b"],
-            jobs=[{"feature": "a", "conditioning": []}], form="ratio",
-        )
-        path = tmp_path / "c.yaml"
-        path.write_text(yaml.safe_dump(mapping))
-        threads = threading.active_count()
-        assert main(["run", str(path)]) == 3
-        assert "ratio form" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-        assert threading.active_count() == threads
-        assert main(["run", str(path), "--form", "difference"]) == 0
-
     def test_overflowing_model_is_exit_three(self, tmp_path, capsys):
         # at 1e150 the baseline risk is finite (about 1e300) but the losses' squares
         # are not, so no cell's test could sum its squared loss differences
@@ -784,9 +775,8 @@ class TestMainVerbs:
         [
             ("replications", "--replications", 0),
             ("seed", "--seed", -1),
-            ("form", "--form", "log"),
         ],
-        ids=["replications", "seed", "form"],
+        ids=["replications", "seed"],
     )
     def test_bad_run_override(self, tmp_path, capsys, key, flag, value):
         # a bad flag fails like the same value in the file

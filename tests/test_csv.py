@@ -33,7 +33,7 @@ plain_numbers = st.one_of(
 ODD_CELLS = ('"1.5"', "1_000", "nan", "inf", "-Infinity", "#1", "", "0x10", "١", "1\x00",
              " ")
 ODD_TAGS = ("dev", " test", "TRAIN", "trainingXX", "trai", '"test"', "test\x00", "Test ",
-            "")
+            "", "tést", "t€st")
 ODD_LINES = ("", "   ", "#1,2,train", '"1,5",2,test')
 ENDINGS = ("\n", "\r\n", "\r")
 
@@ -101,7 +101,7 @@ def scratch(tmp_path_factory):
 
 # Files whose fast reading is easy to get wrong, as (text, split column, clean rows).
 TRAPS = {
-    "long-tag": ("y,split\n1,trainingXX\n2,test\n", "split", 0),  # U5 would read "train"
+    "long-tag": ("y,split\n1,trainingXX\n2,test\n", "split", 0),  # S5 would read b"train"
     "nul-in-tag": ("y,split\n1,test\x00\n", "split", 0),  # numpy drops trailing NULs
     "extra-field-every-row": ("x0,y\n1,2,3\n4,5,6\n", None, 0),
     "trailing-comma": ("x0,y,split\n1,2,train,\n", "split", 0),
@@ -116,6 +116,8 @@ TRAPS = {
     "whitespace-line": ("x0,y\n1,2\n   \n", None, 0),
     "hash-cell": ("x0,y\n#1,2\n", None, 0),
     "dev-tag": ("x0,y,split\n1,2,dev\n", "split", 0),
+    "latin1-tag": ("y,split\n1,tést\n", "split", 0),  # the bytes pass reads b"t\xe9st"
+    "non-latin1-tag": ("y,split\n1,t€st\n", "split", 0),  # no Latin-1 byte for the euro
     "non-finite": ("x0,y\nnan,inf\n", None, 1),
 }
 

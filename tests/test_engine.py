@@ -9,8 +9,6 @@ from relfi import engine
 from relfi.core import TEST, Dataset, InvalidPartitionError, SchemaError, SquaredError
 from relfi.engine import (
     CSV_HEADER,
-    DIFFERENCE,
-    RATIO,
     EvaluationContext,
     RfiEstimate,
     compute_delta_rfi,
@@ -89,7 +87,6 @@ class TestComputeRfi:
             assert np.mean([est.baseline_risk] * 30) != est.baseline_risk
             assert est.point == 0.0
             assert est.se == 0.0
-            assert est.ratio == 1.0
 
     def test_shared_context_matches_own_context(self, data, model):
         ctx = EvaluationContext(model, LOSS, data, 3, 4)
@@ -294,24 +291,20 @@ class TestLibraryContext:
         assert not any(column.flags.writeable for column in ctx._columns.values())
 
 
-class TestRatioOnPerfectFit:
-    def test_ratio_refused_on_negligible_baseline(self):
-        # Y = a + 2b + 0.5 exactly: OLS leaves a baseline of rounding noise
-        rng = np.random.default_rng(0)
-        a, b = rng.normal(size=200), rng.normal(size=200)
-        values = np.column_stack([a, b, a + 2 * b + 0.5])
-        mask = np.zeros(200, dtype=bool)
-        mask[::10] = True
-        d = Dataset(("a", "b", "Y"), values, "Y", mask)
-        m = fit_from_dataset(d)
-        single = compute_rfi(m, LOSS, d, "a", (), fit_sampler(d, "a", ()), replications=3)
-        profile = rfi_profile(m, LOSS, d, ["a"], [(), ("a",)], sampler_factory(d), 3)
-        for est in (single,) + profile:
-            assert est.baseline_risk <= est.ratio_floor
-            assert math.isfinite(est.point)
-            for read in (lambda: est.ratio, lambda: est.ratio_se, lambda: est.value(RATIO)):
-                with pytest.raises(ValueError, match="ratio form is undefined"):
-                    read()
+def test_perfect_fit_estimate_is_finite():
+    # Y = a + 2b + 0.5 exactly: OLS leaves a baseline of rounding noise
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=200), rng.normal(size=200)
+    values = np.column_stack([a, b, a + 2 * b + 0.5])
+    mask = np.zeros(200, dtype=bool)
+    mask[::10] = True
+    d = Dataset(("a", "b", "Y"), values, "Y", mask)
+    m = fit_from_dataset(d)
+    single = compute_rfi(m, LOSS, d, "a", (), fit_sampler(d, "a", ()), replications=3)
+    profile = rfi_profile(m, LOSS, d, ["a"], [(), ("a",)], sampler_factory(d), 3)
+    for est in (single,) + profile:
+        assert est.baseline_risk <= np.finfo(float).eps * np.var(d.target_values(TEST))
+        assert math.isfinite(est.point)
 
 
 class TestEstimateRecord:
@@ -323,13 +316,10 @@ class TestEstimateRecord:
         est = self._make((0.1,) * 30, baseline=0.1)
         assert est.point == 0.0
         assert est.se == 0.0
-        assert est.ratio == 1.0
-        assert est.ratio_se == 0.0
         # one differing replication falls back to the plain mean
         risks = (0.1,) * 29 + (0.3,)
         other = self._make(risks, baseline=0.1)
         assert other.point == float(np.mean(risks) - 0.1)
-        assert other.ratio == float(np.mean(risks) / 0.1)
 
     def test_point_and_se(self):
         est = self._make((1.5, 2.5), baseline=1.0)
@@ -343,30 +333,11 @@ class TestEstimateRecord:
         est = self._make(tuple(r.tolist()), baseline=b)
         root = math.sqrt(3)
         assert est.point == float(np.mean(r) - b) != float(np.mean(r - b))
-        assert est.ratio == float(np.mean(r) / b) != float(np.mean(r / b))
         assert est.se == float(np.std(r - b, ddof=1) / root) != float(np.std(r, ddof=1) / root)
-        assert est.ratio_se == float(np.std(r / b, ddof=1) / root) != float(
-            np.std(r, ddof=1) / b / root
-        )
-        assert (est.value(), est.value_se()) == (est.point, est.se)
-        assert (est.value(RATIO), est.value_se(RATIO)) == (est.ratio, est.ratio_se)
-
-    def test_ratio_form(self):
-        est = self._make((2.0, 4.0), baseline=2.0)
-        assert est.ratio == 1.5
-        assert est.value(RATIO) == 1.5
-        assert est.value(DIFFERENCE) == 1.0
-        assert est.value_se(RATIO) == pytest.approx(est.ratio_se)
 
     def test_single_replication_has_nan_se(self):
         est = self._make((2.0,))
         assert math.isnan(est.se)
-        assert math.isnan(est.ratio_se)
-
-    def test_bad_form_rejected(self):
-        est = self._make((2.0,))
-        with pytest.raises(ValueError, match="form"):
-            est.value("log")
 
     def test_needs_a_replication(self):
         with pytest.raises(ValueError):
@@ -457,8 +428,6 @@ class TestResultRows:
         assert float(row[2]) == est.point
         assert row[6] == "2"
         assert row[7] == "7"
-        ratio_row = result_row(est, test, form=RATIO)
-        assert float(ratio_row[2]) == est.ratio
 
     def test_write_results_csv_bytes(self, tmp_path):
         path = tmp_path / "out.csv"
