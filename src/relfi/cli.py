@@ -59,7 +59,7 @@ from .core import (
     load_yaml,
     save_csv,
 )
-from .inference import TEST_KINDS, get_test
+from .inference import TEST_KINDS, _t_isf, get_test
 from .models import LinearModel, fit_from_dataset, load_model, save_model, training_risk
 # no cli code calls fit_sampler; it stays bound here because bench/test_bench.py reads it
 from .samplers import fit_sampler, sampler_factory, training_joint, training_moments
@@ -505,7 +505,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
 
 def _environment() -> dict:
     """The versions, BLAS kernel and machine behind a run's bytes, for ``manifest.yaml``."""
-    import scipy
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     found, kernel = glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")), None
@@ -516,7 +515,6 @@ def _environment() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
         "blas_kernel": kernel,
@@ -549,12 +547,11 @@ def render_figure(estimates, title: str = "") -> str:
     in first-appearance order. Rendering is fully deterministic: fixed
     geometry, fixed palette, fixed-precision coordinates.
     """
-    from scipy.special import stdtrit
     features = list(dict.fromkeys(est.feature for est in estimates))
     cond_labels = list(dict.fromkeys(est.conditioning for est in estimates))
     values = {}
-    for est in estimates:  # below two replications se and stdtrit(0, .) are NaN
-        half = est.se * float(stdtrit(est.replications - 1, 0.975))
+    for est in estimates:  # below two replications se and _t_isf(., 0) are NaN
+        half = est.se * _t_isf(0.025, est.replications - 1)
         values[(est.feature, est.conditioning)] = (est.point, half)
 
     lo, hi = 0.0, 0.0

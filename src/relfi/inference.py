@@ -5,14 +5,15 @@ baseline) and ask whether their mean is positive: the paired one-sided t
 test for ordinary sample sizes, and a sign-flip permutation test as the
 exact small-sample analogue. Each returns evidence, not a decision: its
 statistic and its one-sided p-value, which ``relfi run`` writes as the
-``t`` and ``p`` columns. The t distribution comes from ``scipy.special``,
-loaded at the first t test or interval.
+``t`` and ``p`` columns. The t distribution's tail and its inverse are
+computed here with math and numpy, by quadrature (see ``_t_upper``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -64,7 +65,6 @@ def paired_t_one_sided(differences) -> TestResult:
     evidence (p = 1), a constant positive difference is conclusive
     (p = 0), a constant negative one is conclusive the other way.
     """
-    from scipy.special import stdtr
     d = _as_differences(differences, 2)
     n = d.size
     mean = float(d.mean())
@@ -74,8 +74,79 @@ def paired_t_one_sided(differences) -> TestResult:
             return TestResult(0.0, 1.0)
         return TestResult(math.inf, 0.0) if mean > 0 else TestResult(-math.inf, 1.0)
     t = mean / (sd / math.sqrt(n))
-    p = float(stdtr(n - 1, -t))  # the upper tail of t with n - 1 degrees of freedom
-    return TestResult(t, p)
+    return TestResult(t, _t_sf(t, n - 1))
+
+
+@cache
+def _quadrature():
+    """Gauss-Legendre on [0, 1] (20 squared nodes, weights) and Gauss-Laguerre
+    (80 nodes, weights), each by Golub-Welsch from its Jacobi matrix."""
+    i, k = np.arange(1.0, 20.0), np.arange(80.0)
+    b = i / np.sqrt(4.0 * i * i - 1.0)
+    x, v = np.linalg.eigh(np.diag(b, 1) + np.diag(b, -1))
+    y, u = np.linalg.eigh(np.diag(2.0 * k + 1.0) + np.diag(k[1:], 1) + np.diag(k[1:], -1))
+    return ((x + 1.0) / 2.0) ** 2, v[0] ** 2, y, u[0] ** 2
+
+
+def _log_gamma_ratio(a: float) -> float:
+    """log Gamma(a + 1/2) - log Gamma(a), by its asymptotic series from a = 50
+    on, where a difference of two lgamma values would lose digits."""
+    if a < 50.0:
+        return math.log(math.gamma(a + 0.5) / math.gamma(a))
+    return (0.5 * math.log(a) - 1 / (8 * a) + 1 / (192 * a**3) - 1 / (640 * a**5)
+            + 17 / (14336 * a**7))
+
+
+def _t_upper(u: float, nu: float, g: float) -> float:
+    """P(T > u) for u >= 0 and nu > 1 degrees of freedom, g = _log_gamma_ratio(nu / 2).
+
+    Below u = 3, 1/2 less the density's integral over [0, u] (at most 3 digits cancel).
+    Beyond, u = sqrt(nu) tan(theta) and v = (nu - 1) log(cos(theta_u) / cos(theta)) make the
+    tail cos(theta_u)^(nu - 1) / (nu - 1) times a Laguerre integral of 1 / tan(theta)."""
+    x2, wl, xg, wg = _quadrature()
+    if u < 3.0:
+        density = np.exp(np.log1p(x2 * (u * u / nu)) * (-0.5 * (nu + 1.0)))
+        return 0.5 - math.exp(g) * u / math.sqrt(nu * math.pi) * float(wl @ density)
+    m, log1p_q = nu - 1.0, math.log1p(u * u / nu)
+    with np.errstate(over="ignore"):  # expm1 overflows at huge u, where 1 / tan(theta) is 0
+        integral = float(wg @ np.expm1(xg * (2.0 / m) + log1p_q) ** -0.5)
+    return math.exp(g - 0.5 * m * log1p_q) / (m * math.sqrt(math.pi)) * integral
+
+
+def _t_sf(t: float, df: float) -> float:
+    """P(T > t) for Student's t with df >= 1 degrees of freedom."""
+    if df == 1:  # Cauchy
+        return math.atan2(1.0, t) / math.pi
+    p = _t_upper(abs(t), float(df), _log_gamma_ratio(df / 2.0))
+    return p if t >= 0 else 1.0 - p
+
+
+def _t_isf(p: float, df: float) -> float:
+    """The t with P(T > t) = p for df degrees of freedom, NaN for df < 1.
+
+    Newton steps on log P, which is concave in log t, from sqrt(df expm1(z^2 (df - 1.5) /
+    (df - 1)^2)), z the normal quantile (A&S 26.2.23); the last step leaves about its square."""
+    if not (df >= 1 and 0.0 <= p <= 1.0):
+        return math.nan
+    if p > 0.5:
+        return -_t_isf(1.0 - p, df)
+    if p in (0.0, 0.5):
+        return math.inf if p == 0.0 else 0.0
+    if df == 1:
+        return 1.0 / math.tan(math.pi * p)
+    nu, g = float(df), _log_gamma_ratio(df / 2.0)
+    r = math.sqrt(-2.0 * math.log(p))
+    z = max(r - (2.515517 + 0.802853 * r + 0.010328 * r * r)
+            / (1.0 + 1.432788 * r + 0.189269 * r * r + 0.001308 * r**3), 2.5066 * (0.5 - p))
+    t = math.sqrt(nu * math.expm1(z * z * (nu - 1.5) / (nu - 1.0) ** 2))
+    for _ in range(50):
+        sf = _t_upper(t, nu, g)
+        density = math.exp(g - 0.5 * (nu + 1.0) * math.log1p(t * t / nu)) / math.sqrt(nu * math.pi)
+        step = math.log(sf / p) * sf / (t * density)
+        t *= math.exp(step)
+        if abs(step) < 3e-7:
+            break
+    return t
 
 
 def _hits(blocks, rows: int, d: np.ndarray) -> int:
@@ -151,7 +222,6 @@ def sign_flip_exact(differences, max_permutations: int = 2**14, seed: int = 0) -
 
 def confidence_interval(differences, level: float = 0.95) -> tuple[float, float]:
     """Symmetric t interval for the mean loss difference."""
-    from scipy.special import stdtrit
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
     d = _as_differences(differences, 2)
@@ -160,7 +230,7 @@ def confidence_interval(differences, level: float = 0.95) -> tuple[float, float]
     sd = float(d.std(ddof=1))
     if sd == 0.0:
         return (mean, mean)
-    half = float(stdtrit(n - 1, 0.5 + level / 2.0)) * sd / math.sqrt(n)
+    half = _t_isf((1.0 - level) / 2.0, n - 1) * sd / math.sqrt(n)
     return (mean - half, mean + half)
 
 

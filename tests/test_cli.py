@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 import yaml
 
 import relfi
@@ -326,11 +325,10 @@ class TestRunExperiment:
         assert manifest["wall_time_seconds"] >= 0
         environment = manifest["environment"]
         assert list(environment) == [
-            "python", "numpy", "scipy", "blas", "blas_version", "blas_kernel", "cpu_count"
+            "python", "numpy", "blas", "blas_version", "blas_kernel", "cpu_count"
         ]
         assert environment["python"] == platform.python_version()
         assert environment["numpy"] == np.__version__
-        assert environment["scipy"] == scipy.__version__
         assert environment["cpu_count"] == os.cpu_count()
         svg = (tmp_path / "out" / "figure.svg").read_text()
         assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")

@@ -3,12 +3,12 @@
 The hashes pin ``results.csv`` and ``figure.svg`` of the bundled
 ``experiment_a`` and ``experiment_b`` configs. Float rendering uses repr,
 so the bytes depend on the exact floating-point results, which can move
-with the Python, numpy or scipy build or the BLAS kernel in use. They do
+with the Python or numpy build or the BLAS kernel in use. They do
 not depend on the number of workers (both values are run here) or of
 BLAS threads: a one-column variance, whose dot product BLAS would split
 across its threads, is summed by numpy instead.
 The hashes hold within the environment they were recorded in (Python
-3.11.7, numpy 2.4.6, scipy 1.17.1, whose OpenBLAS 0.3.31 is built with
+3.11.7, numpy 2.4.6, whose OpenBLAS 0.3.31 is built with
 DYNAMIC_ARCH and picks a kernel for the CPU). That build's kernels sum
 in different orders, so ``GOLDEN`` holds one set per kernel, keyed by the
 ``blas_kernel`` entry of ``manifest.yaml``'s environment: SkylakeX, and
@@ -44,20 +44,20 @@ _FIGURES = {
 }
 _RESULTS = {  # kernel: {config: results.csv}
     "SkylakeX": {
-        "experiment_a": "0e7c0790aece8311519ee531a61ec3537308b7e31d004e1b25771a262a772d88",
-        "experiment_b": "9a2c847c90d09aa0eb256eed2c695fd1a1db8277c7b3a111e9f9c0a2779bd2dc",
+        "experiment_a": "ac456c70de3c376889d5128c0b5a047bef36005aecfa91a54b610234a343da62",
+        "experiment_b": "101e785991237aafac9571d6bc1e6b49c75ea82b74d336588b1e48abefbb9eb5",
     },
     "Haswell": {
-        "experiment_a": "c445db024c638451607550d924a15c4dbfe2ec258fbefecc2a0e8b42ae2c22c7",
-        "experiment_b": "aea75f44b8470cfac5642ec3671147cb6a7cfe5fd8b6fd4c185942c32779c9a8",
+        "experiment_a": "26e26b7ba1eb5b792d548167eec606b647473ddf462ea888527165fe7d360133",
+        "experiment_b": "f726419f0722b1056dbd82102f5af4ae0c291c176588f79f6f7e8b1ab8414d09",
     },
     "Sandybridge": {
-        "experiment_a": "f54250bd2eba9ff93d26dff5b64df5642a999e3b997cc95872c3fdc69ffd9e5d",
-        "experiment_b": "43a662fb648d9117d22a68a6d59f1f64a8615063b83329e17ac65aadb9b3b08d",
+        "experiment_a": "02fb16b7ef415ad938ff8eda49f358f88597afc432edea115f80cbc3be123deb",
+        "experiment_b": "f95f43fb38d6eecb677940fd5c139becfb39396bd061d63c130135e6c7f3a3c3",
     },
     "Katmai": {
-        "experiment_a": "10ba5ac7d3620517b0d805e7f3db63e7932fd1cd9e919109aee6d41175b620f1",
-        "experiment_b": "007fa92b9ed3465fb4bebe973dd3a4b5ef0a594494856cbc34f10e1ce6629204",
+        "experiment_a": "497c23b68809053b00a93cc2e9430f64466c809864ac5a448fde4b2c34b38a99",
+        "experiment_b": "9eb5ac5b7b77010d116493f90a9aa67e949fb326c42c4c79b497bccb4244fbb2",
     },
 }
 GOLDEN = {

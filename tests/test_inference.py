@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -8,11 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import stdtr, stdtrit
 
 from relfi import inference
 from relfi.cli import load_config, run_experiment
 from relfi.inference import (
     InsufficientDataError,
+    _t_isf,
+    _t_sf,
     confidence_interval,
     get_test,
     paired_t_one_sided,
@@ -293,6 +297,51 @@ class TestConfidenceInterval:
             confidence_interval([1.0, 2.0], level=1.0)
         with pytest.raises(InsufficientDataError):
             confidence_interval([1.0])
+
+
+class TestTDistribution:
+    DFS = (1, 2, 3, 4, 5, 9, 10, 15, 16, 17, 29, 30, 99, 499, 1999, 9999, 19999, 99999,
+           199999, 10**6, 10**7)
+
+    @pytest.mark.parametrize("df", DFS)
+    def test_tail_matches_scipy(self, df):
+        t = np.arange(-800, 801) / 20.0
+        ref = stdtr(df, -t)
+        # below |t| = 1e-3 scipy's Cauchy tail is off by 3e-9; the closed form covers it
+        keep = (ref >= 1e-300) & ((df > 1) | (np.abs(t) >= 1e-3))
+        got = np.array([_t_sf(x, df) for x in t[keep]])
+        np.testing.assert_allclose(got, ref[keep], rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("t", [0.0, 1e-9, 1e-4, 0.5, 2.999, 3.0, 7.5, 40.0, 1e6])
+    def test_closed_forms(self, t):
+        assert _t_sf(t, 1) == pytest.approx(math.atan2(1.0, t) / math.pi, rel=1e-15)
+        assert _t_sf(-t, 1) == pytest.approx(math.atan2(1.0, -t) / math.pi, rel=1e-15)
+        root = math.sqrt(t * t + 2.0)
+        assert _t_sf(t, 2) == pytest.approx(1.0 / ((root + t) * root), rel=1e-12)
+        assert _t_sf(-t, 2) == pytest.approx(1.0 - 1.0 / ((root + t) * root), rel=1e-12)
+
+    @pytest.mark.parametrize("df", [1, 2, 5, 30, 10**7])
+    def test_infinite_zero_and_huge_t(self, df):
+        assert (_t_sf(math.inf, df), _t_sf(-math.inf, df), _t_sf(0.0, df)) == (0.0, 1.0, 0.5)
+        for t in (50.0, 1e20, 1e154, 1e308):
+            assert 0.0 <= _t_sf(t, df) <= _t_sf(40.0, df)  # never NaN: NaN compares false
+            assert _t_sf(-t, df) == 1.0 - _t_sf(t, df)
+        assert _t_sf(1e308, df) < sys.float_info.min
+
+    @pytest.mark.parametrize("df", DFS)
+    def test_quantile_matches_scipy(self, df):
+        for p in (0.75, 0.9, 0.95, 0.975, 0.995, 0.9995):
+            # the t with upper tail p is minus the t with lower tail p
+            assert -_t_isf(p, df) == pytest.approx(stdtrit(df, p), rel=1e-11)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 7, 29, 1000, 10**7])
+    def test_quantile_round_trips(self, df):
+        for p in (1e-12, 1e-6, 0.0005, 0.025, 0.3, 0.4999999, 0.5, 0.6, 0.975, 0.999):
+            assert _t_sf(_t_isf(p, df), df) == pytest.approx(p, rel=1e-12)
+        assert (_t_isf(0.0, df), _t_isf(1.0, df)) == (math.inf, -math.inf)
+
+    def test_no_degrees_of_freedom_is_nan(self):
+        assert math.isnan(_t_isf(0.025, 0))
 
 
 class TestResultAndRegistry:
