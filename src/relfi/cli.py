@@ -437,8 +437,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     """Execute every job and write results.csv, figure.svg, manifest.yaml.
 
     One training gather (``training_joint``) feeds the model fit and every
-    sampler. Cells run concurrently up to ``workers``; assembly order, and
-    therefore every output byte, does not depend on scheduling. On a
+    sampler. The context's noise rows are drawn on the worker pool once that
+    gather is reduced to its moments and freed, so the two blocks are never
+    held at once. Cells run concurrently up to ``workers``; assembly order,
+    and therefore every output byte, does not depend on scheduling. On a
     failing cell the rows completed before it are still written; a run
     that fails before its first cell creates no output directory.
     """
@@ -450,25 +452,25 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     if model is None:
         model = fit_from_dataset(data, config.features, moments=joint)
     factory = sampler_factory(data, ridge=config.ridge, moments=joint)
-    context = engine.EvaluationContext(
-        model, SquaredError(), data, config.replications, config.seed
-    )
     test = get_test(config.test_kind)
     cells = _expand_cells(config.jobs)
     csv_path = os.path.join(config.output, "results.csv")
     svg_path = os.path.join(config.output, "figure.svg")
     manifest_path = os.path.join(config.output, "manifest.yaml")
-    os.makedirs(config.output, exist_ok=True)
-
-    def evaluate(cell: tuple[str, tuple[str, ...]]):
-        estimate = engine.score_cell(context, *cell, factory)
-        row = engine.result_row(estimate, test(estimate.first_differences))
-        # the figure reads no test row, so the cell's n_test differences go now
-        return row, dataclasses.replace(estimate, first_differences=())
-
     estimates: list[engine.RfiEstimate] = []
     rows: list[list[str]] = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
+        context = engine.EvaluationContext(
+            model, SquaredError(), data, config.replications, config.seed, pool
+        )
+        os.makedirs(config.output, exist_ok=True)
+
+        def evaluate(cell: tuple[str, tuple[str, ...]]):
+            estimate = engine.score_cell(context, *cell, factory)
+            row = engine.result_row(estimate, test(estimate.first_differences))
+            # the figure reads no test row, so the cell's n_test differences go now
+            return row, dataclasses.replace(estimate, first_differences=())
+
         try:  # map cancels the cells that have not started once one raises
             for row, estimate in pool.map(evaluate, cells):
                 rows.append(row)

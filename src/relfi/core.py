@@ -382,7 +382,9 @@ class SquaredError:
     def pointwise(self, y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
         y_true = np.asarray(y_true, dtype=float)
         y_pred = np.asarray(y_pred, dtype=float)
-        return (y_true - y_pred) ** 2
+        losses = y_true - y_pred
+        losses *= losses  # in place; a 0-d difference is a numpy scalar, rebound here
+        return losses
 
     def __repr__(self) -> str:  # pragma: no cover
         return "SquaredError()"

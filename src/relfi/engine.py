@@ -16,10 +16,20 @@ from the seed pair (base seed, r), which couples the underlying noise
 across conditioning sets and makes importance-change comparisons a
 matched-noise contrast. Everything that does not depend on the cell is
 therefore per-run work: an ``EvaluationContext`` holds the test matrix,
-the response, the baseline losses and risk, one block of noise rows (one
-per replication) that every cell shares, and each test column a sampler
-reads, gathered once. ``compute_rfi`` without ``context=``, ``rfi_profile``
-and ``compute_delta_rfi`` reuse the last context they built when given the
+the response, the baseline predictions, losses and risk, one block of
+noise rows (one per replication) that every cell shares, and each test
+column a sampler reads, gathered once. ``relfi run`` draws the noise rows
+on its worker pool; a row's bits depend on its seed pair alone.
+
+A model that is exactly a ``LinearModel`` is scored without predicting
+again: replacing x_j moves each prediction by beta_j (xtilde_j - x_j), so
+replication r adds that shift to the baseline predictions. Its risks can
+differ from predicting on the replaced matrix in the last bits. Any other
+model, a subclass of ``LinearModel`` included, predicts on a copy of the
+test matrix whose column j each replication overwrites.
+
+``compute_rfi`` without ``context=``, ``rfi_profile`` and
+``compute_delta_rfi`` reuse the last context they built when given the
 same model, loss and data objects and equal replications and seed. That
 one context (its test columns, baseline and replications x test rows of
 noise) stays alive until a call with other inputs; as with ``context=``,
@@ -38,7 +48,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from concurrent.futures import Executor
+from dataclasses import InitVar, dataclass, field
 from itertools import product
 from typing import Callable, Sequence
 
@@ -49,6 +60,7 @@ from .core import (
     is_int,
 )
 from .inference import TestResult
+from .models import LinearModel
 from .samplers import _AffineSampler
 
 CSV_HEADER = ("feature", "G", "estimate", "se", "t", "p", "replications", "seed")
@@ -146,9 +158,11 @@ class EvaluationContext:
     """Per-run state shared by every cell scored on one model and test set.
 
     Built from the model, loss, data, replication count and base seed, it
-    holds the test matrix ``X``, the response ``y``, the baseline losses
-    and risk, and ``noise``: row r is the standard-normal vector drawn
-    from the seed pair (base seed, r), one entry per test row.
+    holds the test matrix ``X``, the response ``y``, the baseline
+    predictions ``base_pred``, losses and risk, and ``noise``: row r is the
+    standard-normal vector drawn from the seed pair (base seed, r), one
+    entry per test row. Given ``pool``, an executor, the rows are drawn on
+    it; each row's bits depend on its seed pair alone, not on the thread.
     All arrays are locked read-only, so one context can serve concurrent cells.
     Test losses whose sum or sum of squares is not finite are refused (ValueError).
     """
@@ -158,21 +172,24 @@ class EvaluationContext:
     data: Dataset
     replications: int = 30
     base_seed: int = 0
+    pool: InitVar[Executor | None] = None
     X: np.ndarray = field(init=False)
     y: np.ndarray = field(init=False)
+    base_pred: np.ndarray = field(init=False)
     base_losses: np.ndarray = field(init=False)
     baseline_risk: float = field(init=False)
     noise: np.ndarray = field(init=False)
     _columns: dict = field(init=False, repr=False, default_factory=dict)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, pool: Executor | None) -> None:
         _check_counts(self.replications, self.base_seed)
         X = self.data.matrix(self.model.feature_order, TEST)
         if X.shape[0] < 1:
             raise SchemaError("no test rows to evaluate on")
         y = self.data.target_values(TEST)
         with np.errstate(over="ignore", invalid="ignore"):
-            base_losses = self.loss.pointwise(y, self.model.predict(X))
+            base_pred = np.asarray(self.model.predict(X), dtype=float)
+            base_losses = self.loss.pointwise(y, base_pred)
             baseline_risk = float(base_losses.mean())
             squares = float(base_losses @ base_losses)
         if not math.isfinite(baseline_risk):
@@ -181,13 +198,18 @@ class EvaluationContext:
             raise ValueError(f"baseline risk {baseline_risk!r}: the squares of the test losses "
                              "do not sum to a finite number")
         noise = np.empty((self.replications, X.shape[0]))
-        for r, row in enumerate(noise):
-            np.random.default_rng([self.base_seed, r]).standard_normal(out=row)
-        for arr in (X, y, base_losses, noise):
+
+        def draw(r: int) -> None:
+            np.random.default_rng([self.base_seed, r]).standard_normal(out=noise[r])
+
+        for _ in (pool.map if pool else map)(draw, range(self.replications)):
+            pass
+        for arr in (X, y, base_pred, base_losses, noise):
             arr.setflags(write=False)
         derived = dict(
             replications=int(self.replications), base_seed=int(self.base_seed), X=X, y=y,
-            base_losses=base_losses, baseline_risk=baseline_risk, noise=noise,
+            base_pred=base_pred, base_losses=base_losses, baseline_risk=baseline_risk,
+            noise=noise,
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -270,11 +292,23 @@ def compute_rfi(
             )
         required = context._test_matrix(sampler.required_columns)
         j = order.index(feature)
-        Xp = context.X.copy(order="F")  # so each replacement writes one contiguous column
+        linear = type(model) is LinearModel  # a subclass may override predict
+        if linear:  # replacing x_j moves each prediction by beta_j (xtilde - x_j) alone
+            x_j, beta = context.X[:, j], model.coefficients[j]
+            pred = np.empty_like(x_j)
+        else:
+            Xp = context.X.copy(order="F")  # so each replacement writes one contiguous column
         perturbed = []
         for r, z in enumerate(context.noise):
-            Xp[:, j] = sampler.sample(required, z)
-            losses = loss.pointwise(context.y, model.predict(Xp))
+            if linear:
+                sampler.sample(required, z, out=pred)
+                pred -= x_j
+                pred *= beta
+                pred += context.base_pred
+            else:
+                sampler.sample(required, z, out=Xp[:, j])
+                pred = model.predict(Xp)
+            losses = loss.pointwise(context.y, pred)
             perturbed.append(float(losses.mean()))
             if r == 0:
                 first_diff = losses - context.base_losses

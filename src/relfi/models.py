@@ -49,7 +49,9 @@ class LinearModel:
             raise ValueError(
                 f"expected (m, {len(self.feature_order)}) input, got {rows.shape}"
             )
-        return self.intercept + rows @ self.coefficients
+        predictions = rows @ self.coefficients
+        predictions += self.intercept
+        return predictions
 
 
 def fit_ols(rows: np.ndarray, targets: np.ndarray, feature_names) -> LinearModel:

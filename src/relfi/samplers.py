@@ -197,7 +197,8 @@ class _AffineSampler:
     ``required_columns`` names exactly the inputs ``sample`` consumes, in
     order (the conditioning set unless given); the caller passes a matrix
     with those columns plus a standard-normal vector ``z`` with one entry
-    per row. Every weight is fixed at fit time.
+    per row. Every weight is fixed at fit time. ``out``, a contiguous float
+    vector with one entry per row, receives the draw in place of a new array.
     """
 
     target: str
@@ -211,13 +212,18 @@ class _AffineSampler:
         if self.required_columns is None:
             object.__setattr__(self, "required_columns", self.conditioning)
 
-    def sample(self, rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    def sample(self, rows: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         rows, expected = np.asarray(rows, dtype=float), len(self.required_columns)
         if rows.ndim != 2 or rows.shape[1] != expected:
             raise SchemaError(
                 f"sampler expects {expected} conditioning column(s), got shape {rows.shape}"
             )
-        return self.intercept + rows @ self.slope + self.scale * z
+        # the bits of intercept + rows @ slope + scale z; np.dot gives matmul's bits
+        # but not its slow loop for one or no columns (0.04 ms against 0.3 ms at 10^5 rows)
+        draw = np.dot(rows, self.slope, out=out)
+        draw += self.intercept
+        draw += self.scale * z
+        return draw
 
 
 # Siblings, not aliases or subclasses of one another: callers tell the

@@ -749,7 +749,9 @@ class TestMainVerbs:
 
     def test_overflowing_model_is_exit_three(self, tmp_path, capsys):
         # at 1e150 the baseline risk is finite (about 1e300) but the losses' squares
-        # are not, so no cell's test could sum its squared loss differences
+        # are not, so no cell's test could sum its squared loss differences; the
+        # refusal comes while the worker pool is open, and leaves no thread behind
+        threads = threading.active_count()
         for coefficient, message in [
             (1e308, r"baseline risk inf: the test losses are not finite"),
             (1e150, r"baseline risk [0-9.]+e\+300: the squares of the test losses "
@@ -767,6 +769,7 @@ class TestMainVerbs:
             assert main(["run", str(path)]) == 3
             assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
             assert not (tmp_path / "out").exists()
+            assert threading.active_count() == threads
 
     @pytest.mark.parametrize(
         "key, flag, value",

@@ -302,3 +302,9 @@ class TestLoss:
         out = loss.pointwise(np.array([1.0, -1.0]), np.array([0.0, 1.0]))
         assert np.array_equal(out, np.array([1.0, 4.0]))
         assert np.array_equal(loss.pointwise(np.array([2.0]), np.array([2.0])), [0.0])
+        assert loss.pointwise(3.0, 1.0) == 4.0  # scalars, as (y - p) ** 2 takes them
+
+    def test_squared_pointwise_has_the_bits_of_the_square(self):
+        rng = np.random.default_rng(4)
+        y, p = rng.standard_normal(1000) * 1e3, rng.standard_normal(1000)
+        assert SquaredError().pointwise(y, p).tobytes() == ((y - p) ** 2).tobytes()

@@ -1,4 +1,6 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -27,6 +29,29 @@ from relfi.scm import builtin_graph, sample_scm
 LOSS = SquaredError()
 
 
+@dataclass(frozen=True)
+class TanhModel:
+    """A non-linear model, tanh(X @ w) + c, scored through its predict."""
+
+    feature_order: tuple[str, ...]
+    w: np.ndarray
+    c: float
+
+    def predict(self, rows):
+        return np.tanh(rows @ self.w) + self.c
+
+
+class Adapter:
+    """A model that is not a LinearModel but predicts as ``inner`` does; counts its calls."""
+
+    def __init__(self, inner: LinearModel):
+        self.inner, self.feature_order, self.calls = inner, inner.feature_order, 0
+
+    def predict(self, rows):
+        self.calls += 1
+        return self.inner.predict(rows)
+
+
 @pytest.fixture(scope="module")
 def data():
     return sample_scm(builtin_graph("experiment_a"), 20000, seed=3)
@@ -38,10 +63,11 @@ def model(data):
 
 
 class TestComputeRfi:
-    def test_matches_hand_rolled_marginal_resampling(self, data, model):
+    def test_matches_hand_rolled_marginal_resampling(self, data):
         # with an empty conditioning set the replacement is marginal
         # resampling; replaying the sampler by hand on the same seed pair
-        # must reproduce the engine's risks bit for bit
+        # must reproduce the engine's risks bit for bit through the model's predict
+        model = TanhModel(("X1", "X2", "X3", "X4"), np.array([0.4, -0.3, 0.2, 0.5]), 0.1)
         s = fit_sampler(data, "X4", ())
         est = compute_rfi(model, LOSS, data, "X4", (), s, replications=3, base_seed=9)
         X = data.matrix(model.feature_order, TEST)
@@ -55,6 +81,27 @@ class TestComputeRfi:
             Xp[:, j] = s.intercept + s.scale * z
             risk = float(LOSS.pointwise(y, model.predict(Xp)).mean())
             assert est.perturbed_risks[r] == risk
+
+    def test_linear_model_shifts_its_baseline_predictions(self, data, model):
+        # an exact LinearModel is scored as base_pred + beta_j (xtilde - x_j), which
+        # agrees with predicting on the replaced matrix up to rounding
+        s = fit_sampler(data, "X3", ("X1",))
+        est = compute_rfi(model, LOSS, data, "X3", ("X1",), s, replications=3, base_seed=5)
+        X = data.matrix(model.feature_order, TEST)
+        y = data.target_values(TEST)
+        base_pred = model.predict(X)
+        j = model.feature_order.index("X3")
+        rows = data.matrix(("X1",), TEST)
+        for r in range(3):
+            z = np.random.default_rng([5, r]).standard_normal(X.shape[0])
+            pred = base_pred + model.coefficients[j] * (s.sample(rows, z) - X[:, j])
+            assert est.perturbed_risks[r] == float(LOSS.pointwise(y, pred).mean())
+        adapter = Adapter(model)
+        generic = compute_rfi(adapter, LOSS, data, "X3", ("X1",), s, 3, 5)
+        assert adapter.calls == 1 + 3  # the baseline, then one predict per replication
+        np.testing.assert_allclose(generic.perturbed_risks, est.perturbed_risks, rtol=1e-12)
+        assert generic.baseline_risk == est.baseline_risk
+        assert generic.point == pytest.approx(est.point, rel=1e-12)
 
     def test_zero_coefficient_gives_exact_zero(self, data):
         # prediction ignores X1, so any replacement leaves it untouched
@@ -111,11 +158,20 @@ class TestComputeRfi:
         X = data.matrix(model.feature_order, TEST)
         assert np.array_equal(ctx.X, X)
         assert ctx.baseline_risk == float(LOSS.pointwise(ctx.y, model.predict(X)).mean())
+        assert ctx.base_pred.tobytes() == model.predict(X).tobytes()
         for r in range(3):
             z = np.random.default_rng([7, r]).standard_normal(X.shape[0])
             assert ctx.noise[r].tobytes() == z.tobytes()
-        for arr in (ctx.X, ctx.y, ctx.base_losses, ctx.noise):
+        for arr in (ctx.X, ctx.y, ctx.base_pred, ctx.base_losses, ctx.noise):
             assert not arr.flags.writeable
+
+    def test_noise_drawn_on_a_pool_has_the_same_bits(self, data, model):
+        # each row comes from its own seed pair, whichever thread draws it
+        serial = EvaluationContext(model, LOSS, data, 5, 7)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            pooled = EvaluationContext(model, LOSS, data, 5, 7, pool)
+        assert pooled.noise.tobytes() == serial.noise.tobytes()
+        assert not pooled.noise.flags.writeable
 
     def test_conditioning_on_all_other_features(self, data, model):
         cond = ("X1", "X2", "X4")

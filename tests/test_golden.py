@@ -44,20 +44,20 @@ _FIGURES = {
 }
 _RESULTS = {  # kernel: {config: results.csv}
     "SkylakeX": {
-        "experiment_a": "ac456c70de3c376889d5128c0b5a047bef36005aecfa91a54b610234a343da62",
-        "experiment_b": "101e785991237aafac9571d6bc1e6b49c75ea82b74d336588b1e48abefbb9eb5",
+        "experiment_a": "7c9e6600d564bb3d5a5900b7fdb7854c14d1a39bfd5eb9b2f682c4a0ba4da78d",
+        "experiment_b": "b8cd74c3efce65c56813d0dcc3f5104a5577a6d092403c05f5e2bca65c584193",
     },
     "Haswell": {
-        "experiment_a": "26e26b7ba1eb5b792d548167eec606b647473ddf462ea888527165fe7d360133",
-        "experiment_b": "f726419f0722b1056dbd82102f5af4ae0c291c176588f79f6f7e8b1ab8414d09",
+        "experiment_a": "926e53487006a440435d6c1309ad3c1a569113d6a7ae31ac5651c0c414e68e1a",
+        "experiment_b": "530dce07d72bf800f5fb730a0e16fe07f51e573f5c943925c7a17827f3355f01",
     },
     "Sandybridge": {
-        "experiment_a": "02fb16b7ef415ad938ff8eda49f358f88597afc432edea115f80cbc3be123deb",
-        "experiment_b": "f95f43fb38d6eecb677940fd5c139becfb39396bd061d63c130135e6c7f3a3c3",
+        "experiment_a": "da6cdd3473c3176c11211295a041594bc037a1103dd123dda5b3bc03ec5f9ca2",
+        "experiment_b": "2e2e466f05d36055754326f2a5e53fc7572e2552665a8215317ee7a9da25be58",
     },
     "Katmai": {
-        "experiment_a": "497c23b68809053b00a93cc2e9430f64466c809864ac5a448fde4b2c34b38a99",
-        "experiment_b": "9eb5ac5b7b77010d116493f90a9aa67e949fb326c42c4c79b497bccb4244fbb2",
+        "experiment_a": "4ca2f662b57db69a0dd1f5eb3d2d573479cc71f54a2bf321df44480f905121c3",
+        "experiment_b": "f5a74201f6a16a750af077a8383a3f9b2a5a089a13f24633f70305f7511c3158",
     },
 }
 GOLDEN = {

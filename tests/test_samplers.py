@@ -210,6 +210,11 @@ class TestGaussianSampler:
         out = s.sample(rows, z)
         assert np.array_equal(out, s.sample(rows, z))
         assert np.allclose(out, s.intercept + rows @ s.slope + s.scale * z, rtol=0, atol=1e-12)
+        # out= receives the same bits, here a contiguous column of a column-major block
+        block = np.zeros((rows.shape[0], 3), order="F")
+        column = block[:, 1]
+        assert s.sample(rows, z, out=column) is column
+        assert column.tobytes() == out.tobytes() and not block[:, [0, 2]].any()
 
     def test_required_columns_contract(self, data_a):
         s = fit_sampler(data_a, "X4", ("X2", "X1"))
